@@ -4,8 +4,8 @@
  * complexity the paper quotes: tableau gate appends (bit-sliced O(n/64)
  * vs the row-major reference's O(n)), Pauli conjugation through a
  * tableau (O(n^2) bound, Sec. V-D), CNOT-tree synthesis, full Clifford
- * Extraction throughput, and CA-Post bitstring remapping (O(mk),
- * Sec. VI-B).
+ * Extraction throughput, CA-Post bitstring remapping (O(mk),
+ * Sec. VI-B), and depth scheduling of a compiled U'.
  *
  * The Packed/Reference benchmark pairs measure the bit-sliced engine
  * against the preserved row-major seed implementation on identical gate
@@ -13,17 +13,20 @@
  * batched conjugation kernel and the worker-pool paths against their
  * scalar/sequential counterparts. CI records them as JSON via
  *   bench_micro \
- *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb' \
+ *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|'\
+ *                        'StabilizerSim|DepthScheduling' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 
 #include "benchgen/suite.hpp"
 #include "core/absorption_post.hpp"
 #include "core/absorption_pre.hpp"
 #include "core/clifford_extractor.hpp"
+#include "core/quclear.hpp"
 #include "core/diagonalization.hpp"
 #include "core/tree_synthesis.hpp"
 #include "mapping/devices.hpp"
@@ -35,6 +38,7 @@
 #include "tableau/reference_stabilizer_simulator.hpp"
 #include "tableau/reference_tableau.hpp"
 #include "tableau/stabilizer_simulator.hpp"
+#include "transpile/depth_scheduling.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
 #include "util/worker_pool.hpp"
@@ -360,6 +364,38 @@ BENCHMARK(BM_CrossBlockExtraction)
     ->Args({ 8, 0 })
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/**
+ * Depth scheduling of a compiled U' (QuClear::compile at one thread with
+ * the scheduler off), built once per instance outside the timed loop.
+ * Each iteration copies U' and runs the pass, as the compile does.
+ */
+void
+BM_DepthScheduling(benchmark::State &state, const char *name)
+{
+    static std::map<std::string, QuantumCircuit> cache;
+    auto it = cache.find(name);
+    if (it == cache.end()) {
+        QuClearOptions options;
+        options.extraction.threads = 1;
+        options.optimizeDepth = false;
+        const Benchmark bench = makeBenchmark(name);
+        it = cache.emplace(name, QuClear(options).compile(bench.terms)
+                                     .extraction.optimized)
+                 .first;
+    }
+    const DepthScheduling pass;
+    for (auto _ : state) {
+        QuantumCircuit qc = it->second;
+        benchmark::DoNotOptimize(pass.run(qc));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(it->second.size()));
+}
+BENCHMARK_CAPTURE(BM_DepthScheduling, ucc_6_12, "UCC-(6,12)")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DepthScheduling, naphthalene, "naphthalene")
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * One commuting block at scale: the conjugation-cache + index-list

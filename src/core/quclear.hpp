@@ -21,6 +21,7 @@
 #ifndef QUCLEAR_CORE_QUCLEAR_HPP
 #define QUCLEAR_CORE_QUCLEAR_HPP
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -72,18 +73,17 @@ struct QuClearOptions
     /**
      * Re-schedule the optimized circuit for entangling depth
      * (commutation-aware list scheduling; never increases depth).
-     * Default: true. Skipped automatically above
-     * depthSchedulingGateLimit gates.
+     * Default: true. Skipped above depthSchedulingGateLimit gates.
      */
     bool optimizeDepth = true;
 
     /**
-     * Gate-count cutoff for the depth scheduler (quadratic-ish cost).
-     * Default: 20000 gates — large enough for every fast-tier
-     * benchmark, small enough that paper-scale circuits skip straight
-     * to emission.
+     * Gate-count cutoff for the depth scheduler. Default: no cutoff;
+     * the pass takes about 12 ms on UCC-(8,16)'s 30k-gate U'. The field
+     * remains only because the perfbench harness pins it at 20000 to
+     * keep its recorded outputs comparable.
      */
-    size_t depthSchedulingGateLimit = 20000;
+    size_t depthSchedulingGateLimit = std::numeric_limits<size_t>::max();
 };
 
 /**

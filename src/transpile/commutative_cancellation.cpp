@@ -48,6 +48,27 @@ isDiagonalGate(const Gate &g)
     }
 }
 
+WireClass
+wireClass(const Gate &g, uint32_t q)
+{
+    switch (g.type) {
+      case GateType::CX:
+        return q == g.q0 ? WireClass::Z : WireClass::X;
+      case GateType::CZ:
+        return WireClass::Z;
+      case GateType::Swap:
+        return WireClass::Other;
+      default:
+        break;
+    }
+    switch (gateAxis(g.type)) {
+      case GateAxis::Z: return WireClass::Z;
+      case GateAxis::X: return WireClass::X;
+      case GateAxis::Y: return WireClass::Y;
+      default: return WireClass::Other;
+    }
+}
+
 bool
 gatesCommute(const Gate &a, const Gate &b)
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -9,57 +10,101 @@
 
 namespace quclear {
 
-bool
-DepthScheduling::run(QuantumCircuit &qc) const
+namespace {
+
+/**
+ * Per-wire state of the DAG build. A run is a maximal stretch of
+ * consecutive gates on the wire with the same WireClass (an Other run
+ * holds identical copies of one gate). `prev` is the previous run plus
+ * any earlier gates carried forward because they commute with a gate of
+ * the run after them.
+ */
+struct WireRuns
+{
+    std::vector<size_t> prev;
+    std::vector<uint8_t> carry; //!< prev[k] commutes with a gate of `run`
+    std::vector<size_t> run;
+    WireClass cls = WireClass::Other;
+    std::vector<size_t> history; //!< every gate on the wire, for full scans
+};
+
+} // namespace
+
+QuantumCircuit
+DepthScheduling::schedule(const QuantumCircuit &qc)
 {
     const auto &gates = qc.gates();
     const size_t n_gates = gates.size();
-    if (n_gates < 2)
-        return false;
 
-    // Dependency DAG: gate i precedes gate j (i < j) iff they share a
-    // qubit and do not provably commute. Built per qubit; every earlier
-    // gate on the qubit is examined because commuting gates in between
-    // do not imply transitive ordering.
+    // Dependency DAG with the transitive closure of "i precedes j iff
+    // i < j, they share a qubit, and they do not provably commute", but
+    // only a fraction of its edges. Gate j links to the non-commuting
+    // gates of the previous run on each wire: gates of consecutive runs
+    // never commute, so anything earlier already reaches j through the
+    // runs in between. Swap breaks that (it commutes with Swap and CZ on
+    // its own pair), so a gate that commutes with a run after it is
+    // carried forward, and a gate that commutes with a member of its
+    // `prev` set scans the whole wire history instead.
     std::vector<std::vector<size_t>> succs(n_gates);
     std::vector<uint32_t> indeg(n_gates, 0);
     {
-        std::vector<std::vector<size_t>> per_qubit(qc.numQubits());
+        std::vector<WireRuns> wires(qc.numQubits());
+        // Last successor linked from each gate: dedups i -> j in O(1),
+        // since all links into j are made before j + 1 is processed.
+        std::vector<size_t> last_succ(n_gates,
+                                      std::numeric_limits<size_t>::max());
+        auto link = [&](size_t i, size_t j) {
+            if (last_succ[i] == j)
+                return;
+            last_succ[i] = j;
+            succs[i].push_back(j);
+            ++indeg[j];
+        };
         for (size_t j = 0; j < n_gates; ++j) {
             const Gate &gj = gates[j];
-            uint32_t qubits[2] = { gj.q0, gj.q1 };
-            const int nq = isTwoQubit(gj.type) ? 2 : 1;
+            const uint32_t qubits[2] = { gj.q0, gj.q1 };
+            const int nq = isTwoQubit(gj.type) && gj.q1 != gj.q0 ? 2 : 1;
             for (int k = 0; k < nq; ++k) {
-                if (k == 1 && qubits[1] == qubits[0])
-                    continue;
-                for (size_t i : per_qubit[qubits[k]]) {
-                    if (gatesCommute(gates[i], gates[j]))
-                        continue;
-                    // Deduplicate i -> j (successor lists stay short).
-                    bool seen = false;
-                    for (size_t existing : succs[i]) {
-                        if (existing == j) {
-                            seen = true;
-                            break;
-                        }
-                    }
-                    if (!seen) {
-                        succs[i].push_back(j);
-                        ++indeg[j];
+                WireRuns &w = wires[qubits[k]];
+                const WireClass cls = wireClass(gj, qubits[k]);
+                const bool extends =
+                    !w.run.empty() && cls == w.cls &&
+                    (cls != WireClass::Other || gates[w.run.front()] == gj);
+                if (!extends) {
+                    std::vector<size_t> next = std::move(w.run);
+                    for (size_t p = 0; p < w.prev.size(); ++p)
+                        if (w.carry[p])
+                            next.push_back(w.prev[p]);
+                    w.prev = std::move(next);
+                    w.carry.assign(w.prev.size(), 0);
+                    w.run.clear();
+                    w.cls = cls;
+                }
+                bool full_scan = false;
+                for (size_t p = 0; p < w.prev.size(); ++p) {
+                    const size_t i = w.prev[p];
+                    if (gatesCommute(gates[i], gj)) {
+                        w.carry[p] = 1;
+                        full_scan = true;
+                    } else {
+                        link(i, j);
                     }
                 }
-            }
-            for (int k = 0; k < nq; ++k) {
-                if (k == 1 && qubits[1] == qubits[0])
-                    continue;
-                per_qubit[qubits[k]].push_back(j);
+                if (full_scan) {
+                    for (size_t i : w.history)
+                        if (!gatesCommute(gates[i], gj))
+                            link(i, j);
+                }
+                w.run.push_back(j);
+                w.history.push_back(j);
             }
         }
     }
 
     // Critical-path priority: longest chain of two-qubit gates from
     // each node to a sink (reverse topological DP over gate index,
-    // valid since all edges go forward).
+    // valid since all edges go forward). Equal to the all-pairs DAG's
+    // value because the closure is the same.
     std::vector<uint32_t> priority(n_gates, 0);
     for (size_t i = n_gates; i-- > 0;) {
         uint32_t best = 0;
@@ -71,33 +116,24 @@ DepthScheduling::run(QuantumCircuit &qc) const
     // List scheduling: emit ready gates longest-path-first; per level,
     // each qubit hosts at most one two-qubit gate (single-qubit gates
     // ride along for free, matching the entangling-depth metric).
-    std::vector<Gate> scheduled;
-    scheduled.reserve(n_gates);
+    // Deferred and newly ready gates both go to the next level's list.
+    QuantumCircuit scheduled(qc.numQubits());
     std::vector<size_t> ready;
     for (size_t i = 0; i < n_gates; ++i)
         if (indeg[i] == 0)
             ready.push_back(i);
 
-    auto emit = [&](size_t i) {
-        scheduled.push_back(gates[i]);
-        for (size_t j : succs[i]) {
-            if (--indeg[j] == 0)
-                ready.push_back(j);
-        }
-    };
-
-    size_t emitted = 0;
-    while (emitted < n_gates) {
-        // One "level": greedily take ready gates on free qubits.
+    std::vector<size_t> next_ready;
+    std::vector<uint8_t> busy(qc.numQubits(), 0);
+    std::vector<uint32_t> touched;
+    while (!ready.empty()) {
         std::sort(ready.begin(), ready.end(),
                   [&](size_t a, size_t b) {
                       if (priority[a] != priority[b])
                           return priority[a] > priority[b];
                       return a < b;
                   });
-        std::vector<bool> busy(qc.numQubits(), false);
-        std::vector<size_t> next_ready;
-        std::vector<size_t> this_level;
+        next_ready.clear();
         for (size_t i : ready) {
             const Gate &g = gates[i];
             const bool two = isTwoQubit(g.type);
@@ -106,41 +142,31 @@ DepthScheduling::run(QuantumCircuit &qc) const
                 continue;
             }
             if (two) {
-                busy[g.q0] = true;
-                busy[g.q1] = true;
+                busy[g.q0] = 1;
+                busy[g.q1] = 1;
+                touched.push_back(g.q0);
+                touched.push_back(g.q1);
             }
-            this_level.push_back(i);
+            scheduled.append(g);
+            for (size_t j : succs[i])
+                if (--indeg[j] == 0)
+                    next_ready.push_back(j);
         }
-        for (size_t i : this_level) {
-            emit(i);
-            ++emitted;
-        }
-        // Newly readied gates were appended to `ready` by emit(); merge.
-        for (size_t i = 0; i < ready.size(); ++i) {
-            const size_t idx = ready[i];
-            bool in_level = false;
-            for (size_t l : this_level) {
-                if (l == idx) {
-                    in_level = true;
-                    break;
-                }
-            }
-            bool in_next = false;
-            for (size_t nr : next_ready) {
-                if (nr == idx) {
-                    in_next = true;
-                    break;
-                }
-            }
-            if (!in_level && !in_next)
-                next_ready.push_back(idx);
-        }
-        ready = std::move(next_ready);
+        for (uint32_t q : touched)
+            busy[q] = 0;
+        touched.clear();
+        std::swap(ready, next_ready);
     }
 
-    QuantumCircuit rebuilt(qc.numQubits());
-    for (const Gate &g : scheduled)
-        rebuilt.append(g);
+    return scheduled;
+}
+
+bool
+DepthScheduling::run(QuantumCircuit &qc) const
+{
+    if (qc.size() < 2)
+        return false;
+    QuantumCircuit rebuilt = schedule(qc);
 
     // Accept only improvements (the scheduler can tie; never regress).
     if (entanglingDepth(rebuilt) < entanglingDepth(qc)) {

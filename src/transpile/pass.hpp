@@ -11,6 +11,7 @@
 #ifndef QUCLEAR_TRANSPILE_PASS_HPP
 #define QUCLEAR_TRANSPILE_PASS_HPP
 
+#include <cstdint>
 #include <string>
 
 #include "circuit/quantum_circuit.hpp"
@@ -42,6 +43,31 @@ bool gatesCommute(const Gate &a, const Gate &b);
 
 /** True iff the gate is diagonal in the computational basis. */
 bool isDiagonalGate(const Gate &g);
+
+/**
+ * Commutation class of a gate on one of its wires: the Pauli axis the
+ * gate preserves there. Z covers diagonal 1q gates, the CX control and
+ * both CZ wires; X covers X-axis 1q gates and the CX target; Y covers
+ * Y and Ry; Other covers H and Swap.
+ *
+ * Two properties tie it to gatesCommute, and DepthScheduling relies on
+ * both (tests/test_depth_scheduling.cpp checks them over every pair):
+ *  - gates in the same class on every wire they share commute (for
+ *    Other, only identical gates count as the same class);
+ *  - gates in different classes on a shared wire do not commute. The
+ *    one exception is Swap, which commutes with a Swap or CZ on its
+ *    own qubit pair.
+ */
+enum class WireClass : uint8_t
+{
+    Z,
+    X,
+    Y,
+    Other,
+};
+
+/** Class of @p g on wire @p q (q must be one of the gate's qubits). */
+WireClass wireClass(const Gate &g, uint32_t q);
 
 } // namespace quclear
 
