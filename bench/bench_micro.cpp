@@ -677,8 +677,8 @@ BENCHMARK(BM_StabilizerSimNoiseMc)
  * The same four engine paths the tentpole SIMD backends accelerate —
  * gate appends, lone dense conjugation, batched conjugation, and
  * tableau composition — re-run with the kernel table pinned to every
- * level this host supports (scalar always; avx2/avx512 when compiled
- * in and CPUID-approved), so BENCH_tableau.json records the measured
+ * level this host supports (scalar always; avx2 when compiled in and
+ * CPUID-approved), so BENCH_tableau.json records the measured
  * gain per level on one machine. Registration happens at runtime in
  * main() because the supported set is a host property. Outputs are
  * bit-identical across levels; only the wall clock may move. The
@@ -779,8 +779,7 @@ simdTableauCompose(benchmark::State &state, simd::Level lvl)
 void
 registerSimdTableauBenchmarks()
 {
-    for (simd::Level lvl : { simd::Level::Scalar, simd::Level::Avx2,
-                             simd::Level::Avx512 }) {
+    for (simd::Level lvl : { simd::Level::Scalar, simd::Level::Avx2 }) {
         if (!simd::levelSupported(lvl))
             continue;
         const std::string tag = simd::levelName(lvl);

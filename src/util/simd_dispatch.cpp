@@ -41,11 +41,6 @@ cpuSupports(Level level)
         return true;
       case Level::Avx2:
         return __builtin_cpu_supports("avx2") != 0;
-      case Level::Avx512:
-        return __builtin_cpu_supports("avx512f") != 0 &&
-               __builtin_cpu_supports("avx512bw") != 0 &&
-               __builtin_cpu_supports("avx512dq") != 0 &&
-               __builtin_cpu_supports("avx512vl") != 0;
     }
     return false;
 #else
@@ -61,8 +56,6 @@ compiledTable(Level level)
         return &detail::scalarKernelsImpl();
       case Level::Avx2:
         return detail::avx2KernelsOrNull();
-      case Level::Avx512:
-        return detail::avx512KernelsOrNull();
     }
     return nullptr;
 }
@@ -77,8 +70,6 @@ tableFor(Level level)
 const Kernels *
 bestTable()
 {
-    if (const Kernels *t = tableFor(Level::Avx512))
-        return t;
     if (const Kernels *t = tableFor(Level::Avx2))
         return t;
     return &detail::scalarKernelsImpl();
@@ -89,46 +80,33 @@ const Kernels *
 resolve()
 {
     const char *env = std::getenv("QUCLEAR_SIMD");
-    if (env == nullptr || *env == '\0') {
-        overrideString() = "auto";
+    overrideString() = "auto";
+    if (env == nullptr || *env == '\0')
         return bestTable();
-    }
-    std::string raw(env);
     Level want;
-    if (!parseLevel(raw, want)) {
+    if (!parseLevel(env, want)) {
         std::fprintf(stderr,
                      "quclear: unknown QUCLEAR_SIMD value '%s' "
-                     "(expected auto|avx512|avx2|scalar), using auto\n",
-                     raw.c_str());
-        overrideString() = "auto";
+                     "(expected auto|avx2|scalar), using auto\n",
+                     env);
         return bestTable();
     }
-    overrideString() = raw;
+    overrideString() = env;
     for (char &c : overrideString())
         c = static_cast<char>(
             std::tolower(static_cast<unsigned char>(c)));
-    if (overrideString() == "auto")
-        return bestTable();
     if (const Kernels *t = tableFor(want))
         return t;
-    // An override may only *lower* the level, never raise it past what
-    // the host/binary supports: fall to the widest usable level below
-    // the request.
-    const Kernels *best = &detail::scalarKernelsImpl();
-    for (uint8_t l = static_cast<uint8_t>(want); l-- > 0;) {
-        if (const Kernels *t = tableFor(static_cast<Level>(l))) {
-            best = t;
-            break;
-        }
-    }
+    // Only AVX2 can be missing (scalar and "auto" always resolve), and
+    // an override never raises the level, so the one step down is
+    // scalar.
     std::fprintf(stderr,
                  "quclear: QUCLEAR_SIMD=%s is not %s on this host, "
-                 "falling back to %s\n",
+                 "falling back to scalar\n",
                  levelName(want),
                  compiledTable(want) == nullptr ? "compiled in"
-                                                : "supported",
-                 best->name);
-    return best;
+                                                : "supported");
+    return &detail::scalarKernelsImpl();
 }
 
 } // namespace
@@ -162,7 +140,6 @@ const char *
 levelName(Level level)
 {
     switch (level) {
-      case Level::Avx512: return "avx512";
       case Level::Avx2:   return "avx2";
       case Level::Scalar: break;
     }
@@ -187,10 +164,6 @@ parseLevel(const std::string &name, Level &out)
     }
     if (s == "avx2") {
         out = Level::Avx2;
-        return true;
-    }
-    if (s == "avx512") {
-        out = Level::Avx512;
         return true;
     }
     return false;
@@ -257,10 +230,6 @@ cpuFeatureString()
     add(__builtin_cpu_supports("avx") != 0, "avx");
     add(__builtin_cpu_supports("avx2") != 0, "avx2");
     add(__builtin_cpu_supports("bmi2") != 0, "bmi2");
-    add(__builtin_cpu_supports("avx512f") != 0, "avx512f");
-    add(__builtin_cpu_supports("avx512bw") != 0, "avx512bw");
-    add(__builtin_cpu_supports("avx512dq") != 0, "avx512dq");
-    add(__builtin_cpu_supports("avx512vl") != 0, "avx512vl");
 #endif
     if (out.empty())
         out = "none";

@@ -6,20 +6,20 @@
  * updates, popcount reductions, Pauli multiplication, the dense
  * conjugation column pass, the batch row-product walk, and the 64x64
  * bit-block transpose — is routed through a table of function pointers
- * (Kernels). Three backends implement the table:
+ * (Kernels). Two backends implement the table:
  *
  *   scalar  portable uint64_t loops, always compiled, the semantic
  *           reference;
- *   avx2    256-bit AVX2 intrinsics (4 words per op);
- *   avx512  512-bit AVX-512 F/BW/DQ/VL intrinsics (8 words per op).
+ *   avx2    256-bit AVX2 intrinsics (4 words per op), compiled
+ *           whenever the compiler accepts -mavx2.
  *
- * The active table is resolved once per process: the widest backend
- * that is (a) compiled in (CMake option QUCLEAR_SIMD caps the set and
- * confines the -mavx* flags to the two backend TUs, so the binary
- * still runs on non-AVX hosts), (b) supported by the running CPU
- * (CPUID probe via __builtin_cpu_supports), and (c) not excluded by
- * the QUCLEAR_SIMD environment variable (auto|avx512|avx2|scalar).
- * Tests and benchmarks can pin a level with forceLevel().
+ * The active table is resolved once per process: AVX2 when it is
+ * compiled in and the running CPU supports it (CPUID probe via
+ * __builtin_cpu_supports), scalar otherwise. CMake confines -mavx2 to
+ * the AVX2 TU, so the binary still runs on non-AVX hosts. The
+ * QUCLEAR_SIMD environment variable (auto|avx2|scalar) can lower the
+ * choice to scalar. Tests and benchmarks can pin a level with
+ * forceLevel().
  *
  * Contract: every backend is BIT-IDENTICAL to the scalar path. All
  * kernels compute exact integer/bitwise results — there is no
@@ -43,7 +43,6 @@ enum class Level : uint8_t
 {
     Scalar = 0,
     Avx2 = 1,
-    Avx512 = 2,
 };
 
 /** Per-column result of the dense-conjugation column kernel. */
@@ -187,7 +186,7 @@ const Kernels &active();
 /** Level of the active table. */
 Level activeLevel();
 
-/** Lower-case level name ("scalar", "avx2", "avx512"). */
+/** Lower-case level name ("scalar", "avx2"). */
 const char *levelName(Level level);
 
 /** Parse a level name (also accepts "auto" -> best). */
@@ -219,7 +218,7 @@ const char *configuredOverride();
 
 /**
  * Space-separated host CPU SIMD feature flags from the same CPUID
- * probe the dispatcher uses ("popcnt avx2 avx512f ..."), recorded in
+ * probe the dispatcher uses ("sse2 popcnt avx avx2 ..."), recorded in
  * bench artifacts so cross-machine comparisons are diagnosable.
  */
 std::string cpuFeatureString();

@@ -3,11 +3,11 @@
  * AVX2 backend of the SIMD kernel table: 256-bit ops, 4 tableau words
  * per step.
  *
- * This TU is the only place (with the AVX-512 sibling) that may use
- * AVX intrinsics: CMake confines -mavx2 to it and defines
- * QUCLEAR_SIMD_COMPILE_AVX2, so the rest of the binary stays runnable
- * on non-AVX hosts and the dispatcher only hands these kernels out
- * after the CPUID probe passes.
+ * This TU is the only place that may use AVX intrinsics: CMake
+ * confines -mavx2 to it and defines QUCLEAR_SIMD_COMPILE_AVX2, so the
+ * rest of the binary stays runnable on non-AVX hosts and the
+ * dispatcher only hands these kernels out after the CPUID probe
+ * passes.
  *
  * Bit-identicality with the scalar backend is by construction: every
  * kernel computes the same XOR-folds and popcount sums over the same

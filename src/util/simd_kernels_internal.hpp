@@ -2,11 +2,10 @@
  * @file
  * Private interface between the SIMD dispatcher and its backend TUs.
  *
- * Both vector backend TUs are always part of the build; the CMake
- * option QUCLEAR_SIMD only controls whether each gets its ISA compile
- * flags (-mavx2 / -mavx512*) and the matching QUCLEAR_SIMD_COMPILE_*
- * define. A backend compiled without its define returns nullptr here,
- * so the dispatcher discovers at runtime which levels exist in this
+ * The AVX2 backend TU is always part of the build; it gets -mavx2 and
+ * the QUCLEAR_SIMD_COMPILE_AVX2 define whenever the compiler accepts
+ * the flag. Compiled without the define it returns nullptr here, so
+ * the dispatcher discovers at runtime whether AVX2 exists in this
  * binary without any link-time variation.
  */
 #ifndef QUCLEAR_UTIL_SIMD_KERNELS_INTERNAL_HPP
@@ -21,9 +20,6 @@ const Kernels &scalarKernelsImpl();
 
 /** AVX2 table, or nullptr when this binary was built without it. */
 const Kernels *avx2KernelsOrNull();
-
-/** AVX-512 table, or nullptr when this binary was built without it. */
-const Kernels *avx512KernelsOrNull();
 
 } // namespace quclear::simd::detail
 

