@@ -111,9 +111,13 @@ struct ExtractionResult
     CliffordTableau conjugator;
 
     /**
-     * Input-term index of every emitted Rz, in circuit order (identity
-     * terms emit none). Lets parameterized front ends rebind rotation
-     * angles without recompiling (core/parameterized.hpp).
+     * Input-term index of every emitted Rz, in the extractor's emission
+     * order, i.e. the Rz order of this result's own circuit (identity
+     * terms emit none). It is not the Rz order of the final U' that
+     * QuClear::compile returns: its level3 and depth scheduling may
+     * merge or reorder rotations. Lets parameterized front ends rebind
+     * rotation angles without recompiling (core/parameterized.hpp,
+     * which runs only Rz-order-preserving passes).
      */
     std::vector<size_t> rotationTerms;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/worker_pool.hpp"
@@ -38,6 +39,52 @@ flipsSign(PauliOp fault, uint8_t site_letter)
     const auto f = static_cast<uint8_t>(fault);
     return static_cast<unsigned>(f != 0 && site_letter != 0 &&
                                  f != site_letter);
+}
+
+/**
+ * sampleFaultGap with its rate -ln1p(-p) passed in, so the shot loop
+ * computes it once per class: inverse-CDF of the geometric law
+ * P(gap = k) = (1 - p)^k p.
+ */
+inline size_t
+faultGap(Rng &rng, double p, double rate)
+{
+    constexpr size_t kNever = std::numeric_limits<size_t>::max();
+    if (!(p > 0.0))
+        return kNever;
+    if (p >= 1.0)
+        return 0;
+    // A rate that underflows to zero, or a quotient beyond size_t (a
+    // tiny or subnormal p), means the next fault is out of reach; the
+    // range checks keep that out of the division and the integer cast.
+    if (!(rate > 0.0))
+        return kNever;
+    const double gap = std::floor(-std::log(1.0 - rng.uniformReal()) / rate);
+    if (!(gap < static_cast<double>(kNever)))
+        return kNever;
+    return static_cast<size_t>(gap);
+}
+
+/** The 1q fault letter of a uniformInt(3) draw. */
+inline PauliOp
+singleQubitFault(uint64_t k)
+{
+    switch (k) {
+      case 0: return PauliOp::X;
+      case 1: return PauliOp::Y;
+      default: return PauliOp::Z;
+    }
+}
+
+/** The 2q fault pair of a uniformInt(15) draw: index 1 + k in the
+ *  {I, X, Y, Z} letter order of twoQubitChannel(). */
+inline std::pair<PauliOp, PauliOp>
+twoQubitFault(uint64_t k)
+{
+    static constexpr PauliOp kLetter[4] = { PauliOp::I, PauliOp::X,
+                                            PauliOp::Y, PauliOp::Z };
+    ++k;
+    return { kLetter[k & 3], kLetter[k >> 2] };
 }
 
 } // namespace
@@ -80,11 +127,7 @@ NoiseModel::sampleSingleQubitError(Rng &rng) const
 {
     if (!rng.bernoulli(singleQubitError))
         return PauliOp::I;
-    switch (rng.uniformInt(3)) {
-      case 0: return PauliOp::X;
-      case 1: return PauliOp::Y;
-      default: return PauliOp::Z;
-    }
+    return singleQubitFault(rng.uniformInt(3));
 }
 
 std::pair<PauliOp, PauliOp>
@@ -92,12 +135,14 @@ NoiseModel::sampleTwoQubitError(Rng &rng) const
 {
     if (!rng.bernoulli(twoQubitError))
         return { PauliOp::I, PauliOp::I };
-    // Uniform over the 15 non-identity two-qubit Paulis; the letter
-    // index uses the same {I, X, Y, Z} order as twoQubitChannel().
-    const uint64_t k = 1 + rng.uniformInt(15);
-    static constexpr PauliOp kLetter[4] = { PauliOp::I, PauliOp::X,
-                                            PauliOp::Y, PauliOp::Z };
-    return { kLetter[k & 3], kLetter[k >> 2] };
+    // Uniform over the 15 non-identity two-qubit Paulis.
+    return twoQubitFault(rng.uniformInt(15));
+}
+
+size_t
+NoiseModel::sampleFaultGap(Rng &rng, double p)
+{
+    return faultGap(rng, p, -std::log1p(-p));
 }
 
 uint64_t
@@ -176,6 +221,23 @@ NoiseModel::noisyStabilizerExpectation(const QuantumCircuit &qc,
         ideal = pulled.phase() == 0 ? 1 : -1;
     }
 
+    // Split the sites into the two rate classes (gate order kept).
+    // Within a class every site has the same rate, so a shot walks the
+    // geometric gaps between its faulty sites instead of drawing once
+    // per site: O(faults) per shot, not O(sites).
+    std::vector<uint8_t> one_q;
+    std::vector<SiteLetters> two_q;
+    for (const SiteLetters &site : sites) {
+        if (site.twoQubit)
+            two_q.push_back(site);
+        else
+            one_q.push_back(site.l0);
+    }
+    const double p1 = singleQubitError;
+    const double p2 = twoQubitError;
+    const double rate1 = -std::log1p(-p1);
+    const double rate2 = -std::log1p(-p2);
+
     const size_t block = options.shotBlock > 0 ? options.shotBlock : 1;
     const size_t num_blocks = (shots + block - 1) / block;
     std::vector<int64_t> block_sum(num_blocks, 0);
@@ -190,21 +252,25 @@ NoiseModel::noisyStabilizerExpectation(const QuantumCircuit &qc,
             for (size_t shot = first; shot < last; ++shot) {
                 Rng rng(shotSeed(options.seed, shot));
                 unsigned flips = 0;
-                for (const SiteLetters &site : sites) {
-                    if (site.twoQubit) {
-                        const auto [f0, f1] = sampleTwoQubitError(rng);
-                        if (f0 != PauliOp::I || f1 != PauliOp::I) {
-                            ++events;
-                            flips ^= flipsSign(f0, site.l0) ^
-                                     flipsSign(f1, site.l1);
-                        }
-                    } else {
-                        const PauliOp f = sampleSingleQubitError(rng);
-                        if (f != PauliOp::I) {
-                            ++events;
-                            flips ^= flipsSign(f, site.l0);
-                        }
-                    }
+                // RNG contract (see shotSeed): one-qubit class first.
+                for (size_t i = 0; i < one_q.size(); ++i) {
+                    const size_t gap = faultGap(rng, p1, rate1);
+                    if (gap >= one_q.size() - i)
+                        break;
+                    i += gap;
+                    ++events;
+                    flips ^= flipsSign(singleQubitFault(rng.uniformInt(3)),
+                                       one_q[i]);
+                }
+                for (size_t i = 0; i < two_q.size(); ++i) {
+                    const size_t gap = faultGap(rng, p2, rate2);
+                    if (gap >= two_q.size() - i)
+                        break;
+                    i += gap;
+                    ++events;
+                    const auto [f0, f1] = twoQubitFault(rng.uniformInt(15));
+                    flips ^= flipsSign(f0, two_q[i].l0) ^
+                             flipsSign(f1, two_q[i].l1);
                 }
                 sum += flips ? -1 : 1;
             }

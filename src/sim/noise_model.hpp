@@ -66,6 +66,16 @@ struct NoiseModel
     /** Draw a fault pair from the 2q channel ({I, I} = no error). */
     std::pair<PauliOp, PauliOp> sampleTwoQubitError(Rng &rng) const;
 
+    /**
+     * Number of fault-free sites before the next fault in a run of
+     * sites that each fault with probability @p p: geometric,
+     * P(gap = k) = (1 - p)^k p, drawn by inversion as
+     * floor(-ln(1 - U) / -ln1p(-p)) from one U = rng.uniformReal().
+     * p <= 0 returns SIZE_MAX and p >= 1 returns 0, neither drawing;
+     * a gap too large for size_t (tiny or subnormal p) is SIZE_MAX.
+     */
+    static size_t sampleFaultGap(Rng &rng, double p);
+
     /** Outcome of a Monte-Carlo noisy stabilizer simulation. */
     struct NoisySimResult
     {
@@ -107,6 +117,17 @@ struct NoiseModel
      * reproducible in isolation — the differential replay oracle in
      * tests/test_noise_model.cpp re-simulates single shots with
      * Rng(shotSeed(seed, shot)) and must land on the batched result.
+     *
+     * Draw order of one shot on Rng(shotSeed(seed, shot)): first the
+     * one-qubit class (the 1q gates, in gate order, at rate
+     * singleQubitError), then the two-qubit class (the 2q gates, Swap
+     * included, at rate twoQubitError). Within a class, starting at
+     * its first site: one sampleFaultGap(); if the gap lands inside
+     * the class, the fault letter — uniformInt(3) over {X, Y, Z}, or
+     * 1 + uniformInt(15) as the twoQubitChannel() index — and the next
+     * gap starts after the faulty site. A class ends at the first gap
+     * that runs past its last site, or once its last site has faulted
+     * (no further draw).
      */
     static uint64_t shotSeed(uint64_t seed, uint64_t shot);
 
@@ -130,10 +151,12 @@ struct NoiseModel
      * the circuit once (Heisenberg picture): the trajectory value is
      * the ideal expectation times (-1)^k where k counts sampled faults
      * that anticommute with the pulled-back observable at their site.
-     * A shot is then a pass over the per-gate fault channels — no
-     * simulator state at all — and shots are replayed in independent
-     * blocks (see SamplerOptions) with per-shot counter-based RNG
-     * streams, so the result is bit-identical for every thread count.
+     * A shot then has no simulator state at all: it draws the
+     * geometric gaps between faulty sites (sampleFaultGap), so it
+     * costs O(faults), not O(gates), in the draw order documented at
+     * shotSeed. Shots are replayed in independent blocks (see
+     * SamplerOptions) with per-shot counter-based RNG streams, so the
+     * result is bit-identical for every thread count.
      */
     NoisySimResult noisyStabilizerExpectation(
         const QuantumCircuit &qc, const PauliString &observable,
