@@ -278,7 +278,8 @@ BM_TreeSynthesis(benchmark::State &state)
     for (auto _ : state) {
         CliffordTableau acc(n);
         QuantumCircuit tree(n);
-        TreeSynthesizer synth(acc, tree, { look }, {});
+        std::vector<PauliString> window{ look };
+        TreeSynthesizer synth(acc, tree, window, {});
         benchmark::DoNotOptimize(synth.synthesize(current.support()));
     }
     state.SetItemsProcessed(state.iterations());
@@ -307,9 +308,11 @@ BENCHMARK(BM_CliffordExtraction)
 
 /**
  * Full extraction through the worker pool (threads = hardware
- * concurrency): batch block entry, parallel conjugation-cache replay,
- * threaded lookahead. Output is bit-identical to BM_CliffordExtraction
- * on the same args; only the wall clock may differ.
+ * concurrency). These connected random programs form one chain, so the
+ * pool only fans out the batch conjugations of block entries and of
+ * cross-block lookahead. Output is bit-identical to
+ * BM_CliffordExtraction on the same args; only the wall clock may
+ * differ.
  */
 void
 BM_CliffordExtractionThreaded(benchmark::State &state)
@@ -397,10 +400,26 @@ BENCHMARK_CAPTURE(BM_DepthScheduling, ucc_6_12, "UCC-(6,12)")
 BENCHMARK_CAPTURE(BM_DepthScheduling, naphthalene, "naphthalene")
     ->Unit(benchmark::kMillisecond);
 
+/** Sequential extraction of @p terms, once per iteration. */
+void
+runSequentialExtraction(benchmark::State &state,
+                        const std::vector<PauliTerm> &terms)
+{
+    ExtractionConfig config;
+    config.threads = 1; // the sequential block loop alone
+    const CliffordExtractor extractor(config);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(extractor.run(terms));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(terms.size()));
+}
+
 /**
  * One commuting block at scale: the conjugation-cache + index-list
  * find_next_pauli path isolated from tree synthesis lookahead effects
- * (Z-only terms always commute, so the whole set is one block).
+ * (Z-only terms always commute, so the whole set is one block). The
+ * random 16-qubit supports rarely repeat a pattern, so this mostly
+ * takes the pattern memos' miss path.
  */
 void
 BM_ExtractorCommutingBlock(benchmark::State &state)
@@ -417,14 +436,22 @@ BM_ExtractorCommutingBlock(benchmark::State &state)
         if (!p.isIdentity())
             terms.emplace_back(std::move(p), rng.uniformReal(-1, 1));
     }
-    ExtractionConfig config;
-    config.threads = 1; // keep the PR 2 perf-trend series sequential
-    const CliffordExtractor extractor(config);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(extractor.run(terms));
-    state.SetItemsProcessed(state.iterations() * m);
+    runSequentialExtraction(state, terms);
 }
 BENCHMARK(BM_ExtractorCommutingBlock)->Args({ 64, 128 })->Args({ 128, 128 });
+
+/**
+ * A registry row that is one commuting block: LABS-(n30) is a single
+ * 2,135-term all-Z block whose 2-10 qubit supports keep meeting the
+ * same patterns, so this is the pattern memos' hit path.
+ */
+void
+BM_ExtractorCommutingBlock(benchmark::State &state, const char *row)
+{
+    runSequentialExtraction(state, makeBenchmark(row).terms);
+}
+BENCHMARK_CAPTURE(BM_ExtractorCommutingBlock, labs_n30, "LABS-(n30)")
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_AbsorbObservables(benchmark::State &state)

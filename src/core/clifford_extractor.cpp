@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <exception>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "pauli/pauli_list.hpp"
+#include "pauli/support_pattern.hpp"
 #include "util/worker_pool.hpp"
 
 namespace quclear {
@@ -17,11 +19,76 @@ namespace quclear {
 namespace {
 
 /**
- * Pending-entry count below which the conjugation-cache replay stays
- * inline: a gate replay is O(n/64) word ops per entry, so tiny blocks
- * would pay more in pool dispatch than in work.
+ * A memo from the key of a Pauli string's operators on the k-qubit
+ * support of the current pick (SupportPattern) to a value that depends
+ * on those operators alone. Open addressing over at least twice
+ * as many slots as the lookups it was reset for, so it never fills and
+ * every probe sequence is short; keys are compared in full, so a hit is
+ * exact. A reset is O(1): slots written before it are stale by their
+ * epoch stamp.
  */
-constexpr size_t kParallelPendingThreshold = 8;
+template <typename Value>
+class PatternMemo
+{
+  public:
+    /** Empty the memo for at most @p lookups keys on @p k qubits. */
+    void reset(size_t k, size_t lookups)
+    {
+        // No more keys than 4^k patterns exist, whatever the lookups.
+        if (k < 32)
+            lookups = std::min<size_t>(lookups, size_t{ 1 } << (2 * k));
+        const size_t size = std::bit_ceil(std::max<size_t>(2 * lookups, 2));
+        shift_ = 64 - std::countr_zero(size);
+        if (slots_.size() < size)
+            slots_.resize(size);
+        if (++epoch_ == 0) {
+            for (Slot &slot : slots_)
+                slot.epoch = 0;
+            epoch_ = 1;
+        }
+    }
+
+    /**
+     * The value slot of @p key. @p found tells whether it holds key's
+     * value; if not, the slot is now key's and the caller fills it.
+     */
+    Value &slot(uint64_t key, bool &found)
+    {
+        const size_t mask = (size_t{ 1 } << (64 - shift_)) - 1;
+        for (size_t i = (key * 0x9E3779B97F4A7C15ULL) >> shift_;;
+             i = (i + 1) & mask) {
+            Slot &slot = slots_[i];
+            if (slot.epoch != epoch_) {
+                slot = Slot{ key, epoch_, {} };
+                found = false;
+                return slot.value;
+            }
+            if (slot.key == key) {
+                found = true;
+                return slot.value;
+            }
+        }
+    }
+
+  private:
+    struct Slot
+    {
+        uint64_t key = 0;
+        uint32_t epoch = 0;
+        Value value{};
+    };
+
+    std::vector<Slot> slots_;
+    int shift_ = 63;
+    uint32_t epoch_ = 0;
+};
+
+/** What a gate burst does to one pattern: XOR of keys, phase step. */
+struct PatternImage
+{
+    uint64_t flip = 0;
+    uint8_t phase = 0;
+};
 
 /** Union-find over qubit indices (path halving + union by index). */
 class QubitUnionFind
@@ -203,22 +270,27 @@ struct BlockOutput
 };
 
 /**
- * Compile one chain against its own tableau fork. This is the
- * pre-existing sequential block loop verbatim, scoped to the chain:
- * the conjugation cache, find_next_pauli reorder, basis layer,
- * lookahead, CNOT tree, and rotation emission are unchanged — only the
- * iteration space is the chain's sub-blocks and the cross-block
+ * Compile one chain against its own tableau fork: the conjugation
+ * cache, find_next_pauli reorder, basis layer, lookahead, CNOT tree,
+ * and rotation emission, over the chain's sub-blocks. The cross-block
  * lookahead source is the chain's own later sub-blocks. Lookahead
  * never crosses a chain boundary in ANY mode (a cross-chain term would
  * make tree scores depend on the other chains' in-flight state); for a
  * connected instance there is exactly one chain and the restriction is
  * vacuous.
  *
+ * Every per-pick step acts on the current Pauli's support S only: the
+ * cost model's hypothetical extraction, the basis layer and the CNOT
+ * tree. So an entry P = P_S (x) P_rest scores weight(P) - |P_S| +
+ * f(P_S), and a committed burst C maps it to C(P_S) (x) P_rest with a
+ * sign set by P_S alone. The pick loop therefore memoizes f and C per
+ * pattern of P on S and computes each pattern once (PatternMemo).
+ *
  * Thread safety: writes only @p acc (this chain's fork) and the output
  * slots of this chain's own sub-blocks — disjoint from every other
  * chain — and reads only the shared immutable inputs. @p pool_ptr is
  * non-null only when chains run sequentially (the parallel driver
- * passes null so the in-block loops stay inline on the runner).
+ * passes null so the batch conjugations stay inline on the runner).
  */
 void
 extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
@@ -226,12 +298,15 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
              CliffordTableau &acc, std::vector<BlockOutput> &outputs,
              WorkerPool *pool_ptr)
 {
-    std::vector<PauliString> conj;    // cache, indexed by block position
-    std::vector<uint32_t> order_next; // singly-linked successor list
-    std::vector<uint32_t> pending;    // reusable replay index scratch
-    std::vector<uint32_t> support;    // reusable support scratch
-    PauliString cand_scratch;         // reusable cost-model buffer
-    SupportIndex curr_support;        // reusable occupancy index of curr
+    std::vector<PauliString> conj;      // cache, indexed by block position
+    std::vector<uint32_t> order_next;   // singly-linked successor list
+    std::vector<uint32_t> support;      // reusable support scratch
+    std::vector<PauliString> lookahead; // reusable lookahead window
+    PauliString cand_scratch;           // reusable cost-model buffer
+    SupportIndex curr_support;          // reusable occupancy index of curr
+    SupportPattern pattern;             // keys on the current support
+    PatternMemo<uint32_t> cost_memo;    // f(P_S) of the current pick
+    PatternMemo<PatternImage> replay_memo; // C(P_S) of the current burst
 
     for (size_t ci = 0; ci < chain.size(); ++ci) {
         const SubBlock &sub = chain[ci];
@@ -252,53 +327,51 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
         for (uint32_t i = 0; i < m; ++i)
             order_next[i] = i + 1;
 
-        // Replay a committed gate burst onto the pending cache entries
-        // (the current term plus everything still queued after it),
-        // across the pool when the pending set is wide enough.
-        auto updatePending = [&](uint32_t from_pos, const QuantumCircuit &qc) {
-            if (qc.empty())
-                return;
-            pending.clear();
-            for (uint32_t j = from_pos; j != m; j = order_next[j])
-                pending.push_back(j);
-            const auto replay = [&](size_t begin, size_t end) {
-                for (size_t k = begin; k < end; ++k) {
-                    PauliString &entry = conj[pending[k]];
-                    for (const Gate &g : qc.gates())
-                        applyGateToPauli(entry, g);
-                }
-            };
-            if (pool_ptr != nullptr &&
-                pending.size() >= kParallelPendingThreshold)
-                pool_ptr->parallelFor(pending.size(), replay);
-            else
-                replay(0, pending.size());
-        };
-
-        for (uint32_t pos = 0; pos != m; pos = order_next[pos]) {
+        uint32_t left = m; // entries from pos to the end of the order
+        for (uint32_t pos = 0; pos != m; pos = order_next[pos], --left) {
             const size_t curr_idx = sub.terms[pos];
             PauliString &curr = conj[pos];
             if (curr.isIdentity())
                 continue; // global phase only
+            support.clear();
+            curr.forEachSupport(
+                [&](uint32_t q, PauliOp) { support.push_back(q); });
+            const bool keyed = pattern.reset(support);
 
             // --- find_next_pauli: choose the successor inside the block
             // that ends up cheapest after extracting this block's
             // (non-recursive) Clifford. Candidates come straight from
-            // the cache — no re-conjugation. ---
+            // the cache — no re-conjugation — and each pattern on the
+            // support is costed once. Ties keep the earliest candidate. ---
             if (config.useCommutingBlocks && order_next[pos] != m &&
                 order_next[order_next[pos]] != m) {
-                uint32_t best_j = order_next[pos];
-                uint32_t best_prev = pos;
-                uint32_t best_cost = ~0u;
-                uint32_t prev = pos;
                 // The cost model walks curr's support twice per
                 // candidate; index curr once so every candidate's walks
                 // jump straight to the occupied words.
                 curr.buildSupportIndex(curr_support);
+                if (keyed)
+                    cost_memo.reset(support.size(), left - 1);
+                const auto score = [&](const PauliString &cand) {
+                    if (!keyed)
+                        return nonRecursiveExtractionCost(
+                            curr, curr_support, cand, cand_scratch);
+                    const uint64_t key = pattern.key(cand);
+                    const uint32_t rest = cand.weight() - pattern.weight(key);
+                    bool found = false;
+                    uint32_t &f = cost_memo.slot(key, found);
+                    if (!found)
+                        f = nonRecursiveExtractionCost(curr, curr_support,
+                                                       cand, cand_scratch) -
+                            rest;
+                    return rest + f;
+                };
+                uint32_t best_j = order_next[pos];
+                uint32_t best_prev = pos;
+                uint32_t best_cost = ~0u;
+                uint32_t prev = pos;
                 for (uint32_t j = order_next[pos]; j != m;
                      prev = j, j = order_next[j]) {
-                    const uint32_t cost = nonRecursiveExtractionCost(
-                        curr, curr_support, conj[j], cand_scratch);
+                    const uint32_t cost = score(conj[j]);
                     if (cost < best_cost) {
                         best_cost = cost;
                         best_j = j;
@@ -314,10 +387,8 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
 
             // --- Single-qubit basis layer (fixed by the Pauli string). ---
             QuantumCircuit vj(n);
-            support.clear();
-            curr.forEachSupport([&](uint32_t q, PauliOp op) {
-                support.push_back(q);
-                switch (op) {
+            for (const uint32_t q : support) {
+                switch (curr.op(q)) {
                   case PauliOp::X:
                     vj.h(q);
                     break;
@@ -328,47 +399,85 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
                   default:
                     break;
                 }
-            });
+            }
             acc.appendCircuit(vj);
             out.gates.appendCircuit(vj);
-            updatePending(pos, vj);
 
             // --- Lookahead: upcoming Paulis in committed order, already
-            // conjugated (cache copies within the sub-block; one fresh
-            // batch conjugation only across the boundary). Later terms
-            // come from THIS CHAIN's subsequent sub-blocks only — terms
-            // of other chains live on disjoint qubits, where they could
-            // only displace useful candidates from the capped window. ---
-            std::vector<PauliString> lookahead;
+            // conjugated (cache copies within the sub-block, taken
+            // through the basis layer here because the cache replays it
+            // with the tree; one fresh batch conjugation only across the
+            // boundary). Later terms come from THIS CHAIN's subsequent
+            // sub-blocks only — terms of other chains live on disjoint
+            // qubits, where they could only displace useful candidates
+            // from the capped window. The window's strings are reused
+            // from pick to pick. ---
+            size_t looked = 0;
+            const auto look = [&](const PauliString &p) {
+                if (looked == lookahead.size())
+                    lookahead.push_back(p);
+                else
+                    lookahead[looked] = p;
+                ++looked;
+            };
             for (uint32_t j = order_next[pos];
-                 j != m && lookahead.size() < config.tree.maxLookahead;
+                 j != m && looked < config.tree.maxLookahead;
                  j = order_next[j]) {
-                lookahead.push_back(conj[j]);
+                look(conj[j]);
+                vj.conjugatePauli(lookahead[looked - 1]);
             }
-            const size_t lookahead_cached = lookahead.size();
+            const size_t looked_cached = looked;
             for (size_t cb = ci + 1;
-                 cb < chain.size() &&
-                 lookahead.size() < config.tree.maxLookahead;
+                 cb < chain.size() && looked < config.tree.maxLookahead;
                  ++cb) {
                 for (size_t idx : chain[cb].terms) {
-                    if (lookahead.size() >= config.tree.maxLookahead)
+                    if (looked >= config.tree.maxLookahead)
                         break;
-                    lookahead.push_back(terms[idx].pauli);
+                    look(terms[idx].pauli);
                 }
             }
-            if (lookahead.size() > lookahead_cached)
-                acc.conjugateBatch(
-                    std::span(lookahead).subspan(lookahead_cached),
-                    pool_ptr);
+            const std::span<PauliString> window =
+                std::span(lookahead).first(looked);
+            if (looked > looked_cached)
+                acc.conjugateBatch(window.subspan(looked_cached), pool_ptr);
 
             // --- CNOT tree (Algorithm 1). ---
             QuantumCircuit tree(n);
-            TreeSynthesizer synth(acc, tree, std::move(lookahead),
-                                  config.tree, pool_ptr);
+            TreeSynthesizer synth(acc, tree, window, config.tree);
             const uint32_t root = synth.synthesize(support);
             out.gates.appendCircuit(tree);
             vj.appendCircuit(tree);
-            updatePending(pos, tree);
+
+            // --- Replay the committed burst vj (basis layer + tree),
+            // which acts on the support only, onto the pending cache
+            // entries: the current term and everything queued after it.
+            // An entry that is the identity on the support is left as it
+            // is; the rest look their pattern up, and a miss (or a
+            // support too wide to key) conjugates the entry gate by gate
+            // and records what that did to the pattern. ---
+            if (keyed)
+                replay_memo.reset(support.size(), left);
+            for (uint32_t j = pos; j != m; j = order_next[j]) {
+                PauliString &entry = conj[j];
+                const uint64_t key = keyed ? pattern.key(entry) : 0;
+                if (keyed && key == 0)
+                    continue;
+                bool found = false;
+                PatternImage *image =
+                    keyed ? &replay_memo.slot(key, found) : nullptr;
+                if (found) {
+                    pattern.flip(entry, image->flip);
+                    entry.setPhase(
+                        static_cast<uint8_t>(entry.phase() + image->phase));
+                    continue;
+                }
+                const uint8_t phase = entry.phase();
+                for (const Gate &g : vj.gates())
+                    applyGateToPauli(entry, g);
+                if (image != nullptr)
+                    *image = { key ^ pattern.key(entry),
+                               static_cast<uint8_t>(entry.phase() - phase) };
+            }
 
             // --- Rotation on the parity root. ---
             // The cache kept `curr` conjugated through the basis layer
@@ -414,16 +523,19 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
     // by replaying every committed gate onto the still-pending entries
     // (a homomorphism: acc' = g.acc implies acc'(P) = g(acc(P))). This
     // replaces the per-pick re-conjugation of every candidate in
-    // find_next_pauli and the rotation-root recheck — the old quadratic
-    // O(m^2 . n . w) per block becomes O(m . n . w / 64 + gates . m).
+    // find_next_pauli and the rotation-root recheck. Scoring and replay
+    // act on the current support S only, so extractChain evaluates them
+    // once per pattern on S and reads every other entry's result from a
+    // table: a pick costs O(m . |S|) pattern reads plus at most
+    // min(m, 4^|S|) direct evaluations.
     //
     // Two levels of parallelism share one pool. FINE (in-block): batch
-    // conjugation, cache replay, and lookahead updates fan block
-    // entries over the workers. COARSE (cross-block): the chains from
+    // conjugation of block entries and of cross-block lookahead fans
+    // the terms over the workers. COARSE (cross-block): the chains from
     // partitionChains() are compiled concurrently, each against its
     // own tableau fork, and merged below. Both levels leave the output
-    // bit-identical to the sequential path — the fine loops write
-    // disjoint slots, and the chains are independent by construction.
+    // bit-identical to the sequential path — the batch writes disjoint
+    // slots, and the chains are independent by construction.
     WorkerPool pool(config_.threads);
     WorkerPool *const pool_ptr = pool.threadCount() > 1 ? &pool : nullptr;
 
@@ -448,14 +560,14 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
     if (runners <= 1) {
         // Sequential chains keep the pool on the fine level, so a
         // single-chain (connected) instance is the exact pre-chain
-        // code path, intra-block parallelism included.
+        // code path, batch conjugation fan-out included.
         for (size_t c = 0; c < part.chains.size(); ++c)
             extractChain(terms, part.chains[c], config_, n, chain_accs[c],
                          outputs, pool_ptr);
     } else {
         // Claim chains off a shared counter so long chains do not
         // stall short ones behind a static partition. The runners get
-        // a null pool: the fine loops run inline, the coarse level
+        // a null pool: the batches run inline, the coarse level
         // owns the workers. The owner thread is runner zero; the
         // others are submitted tasks drained below.
         std::atomic<size_t> next{ 0 };

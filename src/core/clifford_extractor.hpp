@@ -59,17 +59,17 @@ struct ExtractionConfig
     bool useCommutingBlocks = true;
 
     /**
-     * Worker threads for the data-parallel paths: block-entry batch
-     * conjugation, the conjugation-cache replay across pending block
-     * entries, tree-synthesis lookahead updates, and (through QuClear)
-     * multi-observable absorption. 0 = hardware concurrency (the
-     * default), 1 = fully sequential (no workers are spawned — the
-     * exact single-threaded code path). Determinism guarantee: every
-     * parallel loop writes disjoint slots and accumulates nothing
-     * across items, so the compiled circuit, Clifford tail, conjugator
-     * tableau, and rotation order are bit-identical for every value of
-     * this knob (asserted by test_conjugate_batch and
-     * test_scale_extraction).
+     * Worker threads for the parallel paths: the chain runners (see
+     * blockParallelism), batch conjugation of block entries and of
+     * cross-block lookahead when chains run one at a time, and
+     * (through QuClear) multi-observable absorption. 0 = hardware
+     * concurrency (the default), 1 = fully sequential (no workers are
+     * spawned — the exact single-threaded code path). Determinism
+     * guarantee: every parallel loop writes disjoint slots and
+     * accumulates nothing across items, so the compiled circuit,
+     * Clifford tail, conjugator tableau, and rotation order are
+     * bit-identical for every value of this knob (asserted by
+     * test_conjugate_batch and test_scale_extraction).
      */
     uint32_t threads = 0;
 

@@ -4,14 +4,20 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
-
-#include "util/worker_pool.hpp"
 
 namespace quclear {
 
 namespace {
+
+/**
+ * Lookahead Paulis a schedule search scores. Deep scoring matters, or
+ * a searched schedule is myopically optimal for the next rotation while
+ * hurting later ones (see bench_ablation).
+ */
+constexpr size_t kScoreDepth = 8;
 
 /** Weight contribution of an (x, z) bit pair. */
 inline int
@@ -36,23 +42,27 @@ cxWeightDelta(const PauliString &p, uint32_t control, uint32_t target)
 }
 
 TreeSynthesizer::TreeSynthesizer(CliffordTableau &acc, QuantumCircuit &tree,
-                                 std::vector<PauliString> lookahead,
-                                 const TreeSynthesisConfig &config,
-                                 WorkerPool *pool)
-    : acc_(acc), tree_(tree), lookahead_(std::move(lookahead)),
-      config_(config), pool_(pool)
+                                 std::span<PauliString> lookahead,
+                                 const TreeSynthesisConfig &config)
+    : acc_(acc), tree_(tree), lookahead_(lookahead), config_(config)
 {
 }
 
-bool
-TreeSynthesizer::lookaheadAt(uint32_t depth, PauliString &out) const
+const PauliString *
+TreeSynthesizer::lookaheadAt(uint32_t depth) const
 {
     if (depth >= config_.maxLookahead || depth >= lookahead_.size())
-        return false;
-    // The cached string already equals acc_.conjugate(original term):
-    // emitCx keeps every entry in lockstep with the tableau.
-    out = lookahead_[depth];
-    return true;
+        return nullptr;
+    // The string already equals acc_.conjugate(original term): emitCx
+    // keeps every entry in lockstep with the tableau.
+    return &lookahead_[depth];
+}
+
+size_t
+TreeSynthesizer::scoreDepth() const
+{
+    return std::min({ kScoreDepth, size_t{ config_.maxLookahead },
+                      lookahead_.size() });
 }
 
 void
@@ -60,21 +70,8 @@ TreeSynthesizer::emitCx(uint32_t control, uint32_t target)
 {
     tree_.cx(control, target);
     acc_.appendCX(control, target);
-    // Entries update independently, so fanning a wide window over the
-    // pool cannot change the emitted tree. applyCX is O(1) (~a dozen
-    // bit ops), so a pool dispatch (microseconds) only amortizes over
-    // thousands of entries — anything narrower stays inline.
-    constexpr size_t kParallelLookaheadThreshold = 4096;
-    if (pool_ != nullptr &&
-        lookahead_.size() >= kParallelLookaheadThreshold) {
-        pool_->parallelFor(lookahead_.size(), [&](size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i)
-                lookahead_[i].applyCX(control, target);
-        });
-    } else {
-        for (PauliString &p : lookahead_)
-            p.applyCX(control, target);
-    }
+    for (PauliString &p : lookahead_)
+        p.applyCX(control, target);
 }
 
 uint32_t
@@ -94,13 +91,13 @@ TreeSynthesizer::connectRoots(const std::vector<uint32_t> &roots,
     if (roots.size() == 1)
         return roots[0];
 
-    PauliString next;
-    if (!lookaheadAt(depth, next))
+    const PauliString *next = lookaheadAt(depth);
+    if (next == nullptr)
         return chain(roots);
 
     // Greedily pick the (control, target) pair with the best weight delta
     // per Table I; the control leaves the set, the target carries the
-    // accumulated parity onward.
+    // accumulated parity onward. emitCx conjugates *next along.
     std::vector<uint32_t> remaining = roots;
     while (remaining.size() > 1) {
         int best_delta = 3;
@@ -110,7 +107,7 @@ TreeSynthesizer::connectRoots(const std::vector<uint32_t> &roots,
                 if (ci == ti)
                     continue;
                 int delta =
-                    cxWeightDelta(next, remaining[ci], remaining[ti]);
+                    cxWeightDelta(*next, remaining[ci], remaining[ti]);
                 if (delta < best_delta) {
                     best_delta = delta;
                     best_c = ci;
@@ -121,7 +118,6 @@ TreeSynthesizer::connectRoots(const std::vector<uint32_t> &roots,
         const uint32_t c = remaining[best_c];
         const uint32_t t = remaining[best_t];
         emitCx(c, t);
-        next.applyCX(c, t);
         remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(best_c));
     }
     return remaining[0];
@@ -134,14 +130,15 @@ TreeSynthesizer::synth(const std::vector<uint32_t> &idxs, uint32_t depth)
     if (idxs.size() == 1)
         return idxs[0];
 
-    PauliString next;
-    if (!lookaheadAt(depth, next))
+    const PauliString *next = lookaheadAt(depth);
+    if (next == nullptr)
         return chain(idxs);
 
-    // Partition by the next Pauli's operator (I/X/Y/Z subtrees).
+    // Partition by the next Pauli's operator (I/X/Y/Z subtrees), read
+    // before the subtrees below emit anything.
     std::array<std::vector<uint32_t>, 4> groups;
     for (uint32_t q : idxs)
-        groups[static_cast<uint8_t>(next.op(q))].push_back(q);
+        groups[static_cast<uint8_t>(next->op(q))].push_back(q);
 
     // Synthesize each subtree; recursion orders the subtree's interior by
     // deeper lookahead (Sec. V-B), otherwise a simple index-order chain.
@@ -186,35 +183,29 @@ TreeSynthesizer::exhaustive(const std::vector<uint32_t> &idxs)
     // Enumerate every parity-tree schedule: repeatedly pick an ordered
     // (control, target) pair from the remaining set; the control leaves.
     // Score a complete schedule lexicographically by the weights of the
-    // first few lookahead Paulis after conjugation — deep scoring
-    // matters, or the exhaustive choice is myopically optimal for the
-    // next rotation while hurting later ones (see bench_ablation).
-    constexpr uint32_t kScoreDepth = 8;
-    std::vector<PauliString> looks;
-    for (uint32_t d = 0; d < kScoreDepth; ++d) {
-        PauliString p;
-        if (!lookaheadAt(d, p))
-            break;
-        looks.push_back(std::move(p));
-    }
-    if (looks.empty())
+    // first scoreDepth() lookahead Paulis after conjugation.
+    const size_t depth = scoreDepth();
+    if (depth == 0)
         return chain(idxs);
-    const size_t depth = looks.size();
+    const std::span<PauliString> looks = lookahead_.first(depth);
 
     std::vector<Gate> best_seq;
     std::array<uint32_t, kScoreDepth> best_score;
     best_score.fill(~0u);
     std::vector<Gate> seq;
     seq.reserve(idxs.size());
+    std::vector<uint32_t> set = idxs;
 
-    // Depth-first over merge sequences. State: remaining set, conjugated
-    // lookahead copies. Sets are small (<= exhaustiveThreshold).
-    auto dfs = [&](auto &&self, std::vector<uint32_t> &set,
-                   std::vector<PauliString> &ls) -> void {
+    // Depth-first over merge sequences, on the lookahead window and the
+    // remaining set themselves: a trial CX is undone by applying it
+    // again (CX conjugation is an involution, sign included), and the
+    // control is put back where it was, so no node copies any state.
+    // Sets are small (<= exhaustiveThreshold).
+    auto dfs = [&](auto &&self) -> void {
         if (set.size() == 1) {
             std::array<uint32_t, kScoreDepth> score{};
             for (size_t d = 0; d < depth; ++d)
-                score[d] = ls[d].weight();
+                score[d] = looks[d].weight();
             if (score < best_score) {
                 best_score = score;
                 best_seq = seq;
@@ -227,21 +218,20 @@ TreeSynthesizer::exhaustive(const std::vector<uint32_t> &idxs)
                     continue;
                 const uint32_t c = set[ci];
                 const uint32_t t = set[ti];
-                std::vector<PauliString> saved = ls;
-                for (auto &l : ls)
+                for (PauliString &l : looks)
                     l.applyCX(c, t);
-                std::vector<uint32_t> sub = set;
-                sub.erase(sub.begin() + static_cast<std::ptrdiff_t>(ci));
+                const auto at = static_cast<std::ptrdiff_t>(ci);
+                set.erase(set.begin() + at);
                 seq.emplace_back(GateType::CX, c, t);
-                self(self, sub, ls);
+                self(self);
                 seq.pop_back();
-                ls = std::move(saved);
+                set.insert(set.begin() + at, c);
+                for (PauliString &l : looks)
+                    l.applyCX(c, t);
             }
         }
     };
-
-    std::vector<uint32_t> set = idxs;
-    dfs(dfs, set, looks);
+    dfs(dfs);
 
     for (const Gate &g : best_seq)
         emitCx(g.q0, g.q1);
@@ -267,19 +257,12 @@ uint32_t
 TreeSynthesizer::beam(const std::vector<uint32_t> &idxs)
 {
     // Beam search over parity-tree schedules, scored lexicographically by
-    // the weights of the first few lookahead Paulis (deep lookahead is
-    // what makes the grouped recursion strong; the beam needs it too).
-    constexpr uint32_t kScoreDepth = 8;
-    std::vector<PauliString> looks;
-    for (uint32_t d = 0; d < kScoreDepth; ++d) {
-        PauliString p;
-        if (!lookaheadAt(d, p))
-            break;
-        looks.push_back(std::move(p));
-    }
-    if (looks.empty())
+    // the weights of the first scoreDepth() lookahead Paulis (deep
+    // lookahead is what makes the grouped recursion strong; the beam
+    // needs it too).
+    const size_t depth = scoreDepth();
+    if (depth == 0)
         return chain(idxs);
-    const size_t depth = looks.size();
 
     struct State
     {
@@ -296,7 +279,9 @@ TreeSynthesizer::beam(const std::vector<uint32_t> &idxs)
 
     std::vector<State> frontier(1);
     frontier[0].set = idxs;
-    frontier[0].looks = looks;
+    frontier[0].looks.assign(lookahead_.begin(),
+                             lookahead_.begin() +
+                                 static_cast<std::ptrdiff_t>(depth));
     rescore(frontier[0]);
 
     const size_t width = config_.beamWidth;

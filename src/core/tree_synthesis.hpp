@@ -15,6 +15,7 @@
 #define QUCLEAR_CORE_TREE_SYNTHESIS_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "circuit/quantum_circuit.hpp"
@@ -22,8 +23,6 @@
 #include "tableau/clifford_tableau.hpp"
 
 namespace quclear {
-
-class WorkerPool;
 
 /**
  * Options controlling Algorithm 1 (exposed for the Fig. 10 ablation
@@ -77,10 +76,11 @@ struct TreeSynthesisConfig
  * lookahead Paulis arrive PRE-conjugated through the extraction tableau
  * (the extractor's conjugation cache provides them in O(1)) and are then
  * kept up to date incrementally: every emitted CNOT is applied to each
- * cached lookahead string in place, so a lookahead read is always equal
- * to conjugating the original term through every gate emitted so far —
+ * lookahead string in place, so a lookahead read is always equal to
+ * conjugating the original term through every gate emitted so far —
  * prior blocks' Cliffords plus the current partial tree — without ever
- * re-running a full tableau conjugation.
+ * re-running a full tableau conjugation. The synthesizer works on the
+ * strings where the caller keeps them; only the beam search copies.
  */
 class TreeSynthesizer
 {
@@ -91,18 +91,14 @@ class TreeSynthesizer
      * @param tree receives the emitted CNOT gates
      * @param lookahead upcoming Pauli strings in planned circuit order
      *        (lookahead[0] is the rotation immediately after the current
-     *        one), already conjugated through @p acc; the synthesizer
-     *        takes ownership and updates them per emitted CNOT
+     *        one), already conjugated through @p acc; the caller keeps
+     *        the storage, which must outlive the synthesizer, and the
+     *        synthesizer applies every emitted CNOT to it in place
      * @param config algorithm options
-     * @param pool optional worker pool: wide lookahead windows are kept
-     *        current in parallel per emitted CNOT (entries update
-     *        independently, so the emitted tree is thread-count
-     *        invariant); small windows always update inline
      */
     TreeSynthesizer(CliffordTableau &acc, QuantumCircuit &tree,
-                    std::vector<PauliString> lookahead,
-                    const TreeSynthesisConfig &config,
-                    WorkerPool *pool = nullptr);
+                    std::span<PauliString> lookahead,
+                    const TreeSynthesisConfig &config);
 
     /**
      * Build the tree over the given qubits (the current Pauli's support).
@@ -119,15 +115,20 @@ class TreeSynthesizer
     uint32_t connectRoots(const std::vector<uint32_t> &roots, uint32_t depth);
     void emitCx(uint32_t control, uint32_t target);
 
-    /** Copy of the cached conjugated lookahead Pauli at @p depth. */
-    bool lookaheadAt(uint32_t depth, PauliString &out) const;
+    /**
+     * The conjugated lookahead Pauli at @p depth, or null past the
+     * window. emitCx keeps it current, so it changes with every CNOT.
+     */
+    const PauliString *lookaheadAt(uint32_t depth) const;
+
+    /** How many lookahead Paulis a schedule search scores. */
+    size_t scoreDepth() const;
 
     CliffordTableau &acc_;
     QuantumCircuit &tree_;
     /** Pre-conjugated lookahead, updated in place on every emitCx. */
-    std::vector<PauliString> lookahead_;
+    std::span<PauliString> lookahead_;
     TreeSynthesisConfig config_;
-    WorkerPool *pool_;
 };
 
 /**

@@ -96,6 +96,16 @@ class PauliString
      */
     void assignWords(std::span<const uint64_t> x, std::span<const uint64_t> z,
                      uint8_t phase);
+
+    /**
+     * XOR @p x and @p z into packed word @p w, phase untouched. Bits
+     * past numQubits() must stay zero.
+     */
+    void xorWords(uint32_t w, uint64_t x, uint64_t z)
+    {
+        x_[w] ^= x;
+        z_[w] ^= z;
+    }
     /** @} */
 
     /**

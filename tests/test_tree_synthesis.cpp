@@ -3,12 +3,15 @@
  * Tests for CNOT-tree synthesis (Algorithm 1): tree validity (exactly
  * w-1 CNOTs folding the support into one parity root), the Table-I
  * weight-delta model, lookahead-driven optimization including the
- * paper's Fig. 2 and Fig. 7 walk-throughs, and the cheap cost model of
- * find_next_pauli.
+ * paper's Fig. 2 and Fig. 7 walk-throughs, the cheap cost model of
+ * find_next_pauli, and the support locality the extractor's pattern
+ * memos rest on.
  */
 #include <gtest/gtest.h>
 
 #include "core/tree_synthesis.hpp"
+#include "pauli/support_pattern.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -32,7 +35,8 @@ runSynthesis(const PauliString &current,
     SynthOutput out(n);
     // The synthesizer takes lookahead pre-conjugated through the
     // tableau; out.acc is the identity here, so the strings pass as-is.
-    TreeSynthesizer synth(out.acc, out.tree, lookahead, config);
+    std::vector<PauliString> window = lookahead;
+    TreeSynthesizer synth(out.acc, out.tree, window, config);
     out.root = synth.synthesize(current.support());
     return out;
 }
@@ -193,7 +197,8 @@ TEST(TreeSynthesisTest, Figure7GroupedSubtrees)
         }
     }
     out.acc.appendCircuit(basis);
-    TreeSynthesizer synth(out.acc, out.tree, { out.acc.conjugate(p2) }, {});
+    std::vector<PauliString> window{ out.acc.conjugate(p2) };
+    TreeSynthesizer synth(out.acc, out.tree, window, {});
     const uint32_t root = synth.synthesize(p1.support());
     (void)root;
     EXPECT_EQ(out.tree.size(), p1.weight() - 1);
@@ -224,6 +229,135 @@ TEST(NonRecursiveCostTest, MatchesIntuition)
             continue;
         EXPECT_LE(nonRecursiveExtractionCost(cur, cand),
                   cand.weight() + cur.weight());
+    }
+}
+
+/** @p p with every qubit outside @p support set to the identity. */
+PauliString
+restrictTo(const PauliString &p, const std::vector<uint32_t> &support)
+{
+    PauliString r(p.numQubits());
+    for (uint32_t q : support)
+        r.setOp(q, p.op(q));
+    r.setPhase(p.phase());
+    return r;
+}
+
+TEST(SupportLocalityTest, PatternKeysOperatorsOnTheSetOnly)
+{
+    // Keys are equal iff the operators on the set are, 0 is the
+    // identity on the set, weight() counts the set's non-identity
+    // positions, and flip() moves one key to another. Sets inside one
+    // 32-qubit window take the block layout, wider ones the per-qubit
+    // layout; both are checked.
+    Rng rng(0x5e7);
+    for (uint32_t n : { 5u, 30u, 64u, 65u, 130u }) {
+        for (int trial = 0; trial < 100; ++trial) {
+            const PauliString cur =
+                randomSupportPauli(n, rng, trial % 2 ? 0.9 : 0.6);
+            const std::vector<uint32_t> s = cur.support();
+            SupportPattern pattern;
+            ASSERT_EQ(pattern.reset(s), s.size() <= 32);
+            if (s.size() > 32)
+                continue;
+            const PauliString a = randomPhasedPauli(n, rng, 0.3);
+            const PauliString b = randomPhasedPauli(n, rng, 0.3);
+            const PauliString a_s = restrictTo(a, s);
+            EXPECT_EQ(pattern.key(a), pattern.key(a_s));
+            EXPECT_EQ(pattern.key(a) == pattern.key(b),
+                      a_s.equalsUpToPhase(restrictTo(b, s)));
+            EXPECT_EQ(pattern.key(a) == 0, a_s.isIdentity());
+            EXPECT_EQ(pattern.weight(pattern.key(a)), a_s.weight());
+
+            // Give a b's operators on the set, keeping the rest.
+            PauliString moved = a;
+            pattern.flip(moved, pattern.key(a) ^ pattern.key(b));
+            PauliString want = a;
+            for (uint32_t q : s)
+                want.setOp(q, b.op(q));
+            EXPECT_EQ(moved, want) << "n=" << n;
+        }
+    }
+    // The two layouts at their boundary.
+    SupportPattern pattern;
+    const std::vector<uint32_t> window{ 3, 34 };  // span 32: blocks
+    const std::vector<uint32_t> wide{ 3, 35 };    // span 33: per qubit
+    for (const auto &s : { window, wide }) {
+        ASSERT_TRUE(pattern.reset(s));
+        PauliString p(64);
+        p.setOp(s[0], PauliOp::Y);
+        p.setOp(s[1], PauliOp::X);
+        p.setOp(20, PauliOp::Z);
+        EXPECT_EQ(pattern.weight(pattern.key(p)), 2u);
+        pattern.flip(p, pattern.key(p)); // clears the set only
+        PauliString want(64);
+        want.setOp(20, PauliOp::Z);
+        EXPECT_EQ(p, want);
+    }
+}
+
+TEST(SupportLocalityTest, CostSplitsIntoRestAndSupport)
+{
+    // The extractor memoizes f(P_S) and rebuilds every candidate's cost
+    // as weight(P) - |P_S| + f(P_S).
+    Rng rng(0x10ca1);
+    for (uint32_t n : { 5u, 30u, 64u, 65u, 130u }) {
+        for (int trial = 0; trial < 200; ++trial) {
+            const PauliString cur =
+                randomSupportPauli(n, rng, trial % 2 ? 0.9 : 0.5);
+            if (cur.isIdentity())
+                continue;
+            const PauliString cand = randomPhasedPauli(n, rng, 0.4);
+            const std::vector<uint32_t> s = cur.support();
+            const PauliString cand_s = restrictTo(cand, s);
+            EXPECT_EQ(nonRecursiveExtractionCost(cur, cand),
+                      cand.weight() - cand_s.weight() +
+                          nonRecursiveExtractionCost(cur, cand_s))
+                << "n=" << n << " cur=" << cur.toLabel()
+                << " cand=" << cand.toLabel();
+        }
+    }
+}
+
+TEST(SupportLocalityTest, BurstActsThroughTheSupportPatternAlone)
+{
+    // A gate burst on S maps P_S (x) P_rest to C(P_S) (x) P_rest with a
+    // phase step set by P_S: splicing the image of the restricted
+    // string into P must equal conjugating P gate by gate.
+    Rng rng(0xb0a5);
+    for (uint32_t n : { 5u, 30u, 64u, 65u, 130u }) {
+        for (int trial = 0; trial < 200; ++trial) {
+            const PauliString cur =
+                randomSupportPauli(n, rng, trial % 2 ? 0.9 : 0.6);
+            const std::vector<uint32_t> s = cur.support();
+            if (s.empty() || s.size() > 32)
+                continue;
+            const auto k = static_cast<uint32_t>(s.size());
+            std::vector<Gate> burst;
+            for (int g = 0; g < 12; ++g) {
+                Gate gate = randomCliffordGate(k, rng);
+                gate.q0 = s[gate.q0];
+                gate.q1 = s[gate.q1];
+                burst.push_back(gate);
+            }
+
+            const PauliString p = randomPhasedPauli(n, rng, 0.3);
+            PauliString want = p;
+            for (const Gate &g : burst)
+                applyGateToPauli(want, g);
+
+            const PauliString p_s = restrictTo(p, s);
+            PauliString image = p_s;
+            for (const Gate &g : burst)
+                applyGateToPauli(image, g);
+            SupportPattern pattern;
+            ASSERT_TRUE(pattern.reset(s));
+            PauliString got = p;
+            pattern.flip(got, pattern.key(p_s) ^ pattern.key(image));
+            got.setPhase(static_cast<uint8_t>(p.phase() + image.phase() -
+                                              p_s.phase()));
+            EXPECT_EQ(got, want) << "n=" << n << " p=" << p.toLabel();
+        }
     }
 }
 
