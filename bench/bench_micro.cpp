@@ -5,7 +5,8 @@
  * vs the row-major reference's O(n)), Pauli conjugation through a
  * tableau (O(n^2) bound, Sec. V-D), CNOT-tree synthesis, full Clifford
  * Extraction throughput, CA-Post bitstring remapping (O(mk),
- * Sec. VI-B), and depth scheduling of a compiled U'.
+ * Sec. VI-B), depth scheduling of a compiled U', and the two costliest
+ * level3 passes on an extracted U' and tail.
  *
  * The Packed/Reference benchmark pairs measure the bit-sliced engine
  * against the preserved row-major seed implementation on identical gate
@@ -14,7 +15,7 @@
  * scalar/sequential counterparts. CI records them as JSON via
  *   bench_micro \
  *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|'\
- *                        'StabilizerSim|DepthScheduling' \
+ *                        'StabilizerSim|DepthScheduling|Level3Pass' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
@@ -38,7 +39,9 @@
 #include "tableau/reference_stabilizer_simulator.hpp"
 #include "tableau/reference_tableau.hpp"
 #include "tableau/stabilizer_simulator.hpp"
+#include "transpile/commutative_cancellation.hpp"
 #include "transpile/depth_scheduling.hpp"
+#include "transpile/phase_rotation_folding.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
 #include "util/worker_pool.hpp"
@@ -398,6 +401,45 @@ BM_DepthScheduling(benchmark::State &state, const char *name)
 BENCHMARK_CAPTURE(BM_DepthScheduling, ucc_6_12, "UCC-(6,12)")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_DepthScheduling, naphthalene, "naphthalene")
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * One level3 pass on the level3 input of UCC-(8,16): the extractor's U'
+ * or its tail (CliffordExtractor::run at one thread), extracted once
+ * outside the timed loop. Each iteration copies the input and runs the
+ * pass once, as the first sweep of the compile does.
+ */
+void
+BM_Level3Pass(benchmark::State &state, const Pass *pass, bool tail)
+{
+    static const ExtractionResult extraction = [] {
+        ExtractionConfig config;
+        config.threads = 1;
+        return CliffordExtractor(config).run(
+            makeBenchmark("UCC-(8,16)").terms);
+    }();
+    const QuantumCircuit &input =
+        tail ? extraction.extractedClifford : extraction.optimized;
+    for (auto _ : state) {
+        QuantumCircuit qc = input;
+        benchmark::DoNotOptimize(pass->run(qc));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(input.size()));
+}
+const PhaseRotationFolding kPhaseRotationFolding;
+const CommutativeCancellation kCommutativeCancellation;
+BENCHMARK_CAPTURE(BM_Level3Pass, phase_rotation_folding/ucc_8_16_u,
+                  &kPhaseRotationFolding, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Level3Pass, phase_rotation_folding/ucc_8_16_tail,
+                  &kPhaseRotationFolding, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Level3Pass, commutative_cancellation/ucc_8_16_u,
+                  &kCommutativeCancellation, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Level3Pass, commutative_cancellation/ucc_8_16_tail,
+                  &kCommutativeCancellation, true)
     ->Unit(benchmark::kMillisecond);
 
 /** Sequential extraction of @p terms, once per iteration. */

@@ -1,5 +1,7 @@
 #include "transpile/commutative_cancellation.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -141,6 +143,12 @@ CommutativeCancellation::run(QuantumCircuit &qc) const
 {
     std::vector<Gate> gates(qc.gates().begin(), qc.gates().end());
     bool changed = false;
+    constexpr size_t kEnd = ~size_t(0);
+    // next_on[2j + s]: the next gate after j on j's wire q0 (s = 0) or
+    // q1 (s = 1). A forward scan only ever needs the candidate's own
+    // wires: gates elsewhere commute with it and can never match it.
+    std::vector<size_t> next_on;
+    std::vector<size_t> last_on(qc.numQubits());
 
     // Iterate to a local fixpoint: each cancellation can unblock
     // another (e.g. an inner Swap pair hiding an outer CX pair).
@@ -149,6 +157,22 @@ CommutativeCancellation::run(QuantumCircuit &qc) const
         const size_t n_gates = gates.size();
         std::vector<bool> removed(n_gates, false);
 
+        next_on.assign(2 * n_gates, kEnd);
+        std::fill(last_on.begin(), last_on.end(), kEnd);
+        for (size_t j = n_gates; j-- > 0;) {
+            const Gate &h = gates[j];
+            next_on[2 * j] = last_on[h.q0];
+            last_on[h.q0] = j;
+            if (isTwoQubit(h.type)) {
+                next_on[2 * j + 1] = last_on[h.q1];
+                last_on[h.q1] = j;
+            }
+        }
+        // The gate after j on wire q (j must touch q).
+        auto next_after = [&](size_t j, uint32_t q) {
+            return next_on[2 * j + (gates[j].q0 == q ? 0 : 1)];
+        };
+
         for (size_t i = 0; i < n_gates; ++i) {
             if (removed[i])
                 continue;
@@ -156,8 +180,16 @@ CommutativeCancellation::run(QuantumCircuit &qc) const
 
             if (g.type == GateType::CX || g.type == GateType::CZ ||
                 g.type == GateType::Swap) {
-                // 2q pair cancellation through commuting gates.
-                for (size_t j = i + 1; j < n_gates; ++j) {
+                // 2q pair cancellation through commuting gates: walk
+                // the later gates on either wire of g in index order.
+                size_t a = next_on[2 * i];
+                size_t b = next_on[2 * i + 1];
+                while (a != kEnd || b != kEnd) {
+                    const size_t j = std::min(a, b);
+                    if (a == j)
+                        a = next_after(j, g.q0);
+                    if (b == j)
+                        b = next_after(j, g.q1);
                     if (removed[j])
                         continue;
                     const Gate &h = gates[j];
@@ -181,7 +213,8 @@ CommutativeCancellation::run(QuantumCircuit &qc) const
                 // forward past gates it commutes with (Rz through CX
                 // controls, Rx through CX targets, ...) onto the next
                 // same-axis gate on its qubit.
-                for (size_t j = i + 1; j < n_gates; ++j) {
+                for (size_t j = next_on[2 * i]; j != kEnd;
+                     j = next_after(j, g.q0)) {
                     if (removed[j])
                         continue;
                     const Gate &h = gates[j];

@@ -10,6 +10,7 @@
 #ifndef QUCLEAR_TRANSPILE_PHASE_ROTATION_FOLDING_HPP
 #define QUCLEAR_TRANSPILE_PHASE_ROTATION_FOLDING_HPP
 
+#include <cstdint>
 #include <string>
 
 #include "transpile/pass.hpp"
@@ -29,6 +30,12 @@ namespace quclear {
  * occurrence (signs adjusted for negation); zero sums vanish entirely.
  * Two-qubit structure is never touched, so gate count and two-qubit
  * count never increase.
+ *
+ * Keys are found through a 64-bit Zobrist hash per wire (the xor of
+ * its symbols' hashes, updated in O(1) per CX/Swap/invalidation) into
+ * chained buckets; every bucket hit is confirmed against the group's
+ * stored key, so a hash collision never merges two groups. Stored keys
+ * keep only their nonzero 64-bit words.
  */
 class PhaseRotationFolding : public Pass
 {
@@ -36,6 +43,20 @@ class PhaseRotationFolding : public Pass
     std::string name() const override { return "phase-rotation-folding"; }
     bool run(QuantumCircuit &qc) const override;
 };
+
+namespace detail {
+
+/** Per-symbol hash feeding the folding's Zobrist wire keys. */
+using SymbolHash = uint64_t (*)(uint64_t symbol);
+
+/**
+ * PhaseRotationFolding::run with the symbol hash supplied. The pass
+ * uses a SplitMix64 finalizer; tests pass degenerate hashes to force
+ * bucket collisions, which must not change the output.
+ */
+bool foldPhaseRotations(QuantumCircuit &qc, SymbolHash symbol_hash);
+
+} // namespace detail
 
 } // namespace quclear
 

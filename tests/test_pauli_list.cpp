@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "pauli/pauli_list.hpp"
+#include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace quclear {
 namespace {
@@ -52,6 +54,65 @@ TEST(CommutingBlocksTest, BlockOrderPreserved)
 TEST(CommutingBlocksTest, EmptyInput)
 {
     EXPECT_TRUE(commutingBlocks({}).empty());
+}
+
+/** The per-member scan commutingBlocks runs when its masks overlap. */
+std::vector<std::vector<size_t>>
+naiveCommutingBlocks(const std::vector<PauliTerm> &terms)
+{
+    std::vector<std::vector<size_t>> blocks;
+    for (size_t i = 0; i < terms.size(); ++i) {
+        bool fits = !blocks.empty();
+        if (fits) {
+            for (size_t j : blocks.back()) {
+                if (!terms[i].pauli.commutesWith(terms[j].pauli)) {
+                    fits = false;
+                    break;
+                }
+            }
+        }
+        if (fits)
+            blocks.back().push_back(i);
+        else
+            blocks.push_back({ i });
+    }
+    return blocks;
+}
+
+TEST(CommutingBlocksTest, MatchesNaiveScanOnFuzzedTermLists)
+{
+    // All-Z lists (always one block), mixed X/Y/Z, identity terms and
+    // repeated terms, at one-word and multi-word widths.
+    Rng rng(4242);
+    for (uint32_t n : { 1u, 3u, 8u, 64u, 70u, 130u }) {
+        for (int trial = 0; trial < 60; ++trial) {
+            const int kind = trial % 4;
+            const double identity_bias =
+                n > 8 ? 0.95 : 0.3 + 0.1 * (trial % 5);
+            std::vector<PauliTerm> terms;
+            const size_t m = 1 + rng.uniformInt(80);
+            while (terms.size() < m) {
+                PauliString p = randomSupportPauli(n, rng, identity_bias);
+                if (kind == 0) { // all-Z
+                    PauliString z(n);
+                    for (uint32_t q : p.support())
+                        z.setOp(q, PauliOp::Z);
+                    p = z;
+                } else if (kind == 2 && rng.bernoulli(0.2)) {
+                    p = PauliString(n); // identity term
+                } else if (kind == 3 && !terms.empty() &&
+                           rng.bernoulli(0.3)) {
+                    p = terms[rng.uniformInt(terms.size())].pauli;
+                }
+                terms.emplace_back(std::move(p), 0.1);
+            }
+            ASSERT_EQ(commutingBlocks(terms), naiveCommutingBlocks(terms))
+                << "n=" << n << " trial=" << trial;
+            if (kind == 0) {
+                EXPECT_EQ(commutingBlocks(terms).size(), 1u);
+            }
+        }
+    }
 }
 
 TEST(PauliListTest, TotalWeight)

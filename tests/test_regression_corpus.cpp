@@ -16,8 +16,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <complex>
 #include <string>
+#include <vector>
 
+#include "circuit/quantum_circuit.hpp"
 #include "pauli/pauli_string.hpp"
 #include "tableau/reference_stabilizer_simulator.hpp"
 #include "tableau/stabilizer_simulator.hpp"
@@ -163,6 +167,176 @@ TEST(RegressionCorpus, CliffordConjugationSignTable)
             << static_cast<int>(e.in);
     }
 }
+
+/**
+ * @name Exhaustive 3-qubit Pauli maps
+ * All 64 strings in {I,X,Y,Z}^3, checked against dense 8x8 matrices
+ * built independently of the packed x/z words (the Cirq idiom of
+ * enumerating every qubit-to-Pauli map on three qubits). Qubit q acts
+ * on bit q of the basis index.
+ * @{
+ */
+using Dense8 = std::array<std::complex<double>, 64>;
+
+Dense8
+denseMul(const Dense8 &a, const Dense8 &b)
+{
+    Dense8 r{};
+    for (int i = 0; i < 8; ++i)
+        for (int k = 0; k < 8; ++k)
+            for (int j = 0; j < 8; ++j)
+                r[i * 8 + j] += a[i * 8 + k] * b[k * 8 + j];
+    return r;
+}
+
+Dense8
+denseAdjoint(const Dense8 &a)
+{
+    Dense8 r{};
+    for (int i = 0; i < 8; ++i)
+        for (int j = 0; j < 8; ++j)
+            r[i * 8 + j] = std::conj(a[j * 8 + i]);
+    return r;
+}
+
+bool
+denseEqual(const Dense8 &a, const Dense8 &b)
+{
+    for (int i = 0; i < 64; ++i)
+        if (std::abs(a[i] - b[i]) > 1e-12)
+            return false;
+    return true;
+}
+
+/** i^phase times the tensor product of the string's 1q Paulis. */
+Dense8
+densePauli(const PauliString &p)
+{
+    using C = std::complex<double>;
+    const C i(0, 1);
+    Dense8 r{};
+    for (int col = 0; col < 8; ++col) {
+        int row = col;
+        C amp = std::pow(i, static_cast<int>(p.phase()));
+        for (uint32_t q = 0; q < 3; ++q) {
+            const int bit = (col >> q) & 1;
+            switch (p.op(q)) {
+              case PauliOp::X: row ^= 1 << q; break;
+              case PauliOp::Y: row ^= 1 << q; amp *= bit ? -i : i; break;
+              case PauliOp::Z: amp *= bit ? -1.0 : 1.0; break;
+              default: break;
+            }
+        }
+        r[row * 8 + col] = amp;
+    }
+    return r;
+}
+
+/** Dense H, S or CX on three qubits. */
+Dense8
+denseGate(const Gate &g)
+{
+    using C = std::complex<double>;
+    const double h = 1.0 / std::sqrt(2.0);
+    Dense8 r{};
+    for (int col = 0; col < 8; ++col) {
+        const int bit = (col >> g.q0) & 1;
+        switch (g.type) {
+          case GateType::H:
+            r[(col & ~(1 << g.q0)) * 8 + col] += h;
+            r[(col | (1 << g.q0)) * 8 + col] += bit ? -h : h;
+            break;
+          case GateType::S:
+            r[col * 8 + col] = bit ? C(0, 1) : C(1, 0);
+            break;
+          case GateType::CX:
+            r[(bit ? col ^ (1 << g.q1) : col) * 8 + col] = 1.0;
+            break;
+          default:
+            ADD_FAILURE() << "no dense form for " << gateName(g.type);
+        }
+    }
+    return r;
+}
+
+std::vector<PauliString>
+allThreeQubitPaulis()
+{
+    std::vector<PauliString> out;
+    for (int code = 0; code < 64; ++code) {
+        PauliString p(3);
+        for (uint32_t q = 0; q < 3; ++q)
+            p.setOp(q, static_cast<PauliOp>((code >> (2 * q)) & 3));
+        out.push_back(p);
+    }
+    return out;
+}
+
+TEST(RegressionCorpus, ThreeQubitPauliProductsMatchDense)
+{
+    const auto paulis = allThreeQubitPaulis();
+    for (size_t a = 0; a < paulis.size(); ++a) {
+        for (const PauliString &b : paulis) {
+            PauliString lhs = paulis[a];
+            lhs.setPhase(static_cast<uint8_t>(a % 4)); // every phase
+            EXPECT_TRUE(denseEqual(densePauli(mul(lhs, b)),
+                                   denseMul(densePauli(lhs),
+                                            densePauli(b))))
+                << lhs.toLabel() << " * " << b.toLabel();
+        }
+    }
+}
+
+TEST(RegressionCorpus, ThreeQubitCommutationMatchesSymplecticForm)
+{
+    const auto paulis = allThreeQubitPaulis();
+    size_t anticommuting = 0;
+    for (const PauliString &a : paulis) {
+        for (const PauliString &b : paulis) {
+            // Symplectic form from the ops: positions where both are
+            // non-identity and differ.
+            int form = 0;
+            for (uint32_t q = 0; q < 3; ++q)
+                form ^= a.op(q) != PauliOp::I && b.op(q) != PauliOp::I &&
+                        a.op(q) != b.op(q);
+            const Dense8 ab = denseMul(densePauli(a), densePauli(b));
+            const Dense8 ba = denseMul(densePauli(b), densePauli(a));
+            EXPECT_EQ(a.commutesWith(b), form == 0)
+                << a.toLabel() << ", " << b.toLabel();
+            EXPECT_EQ(a.commutesWith(b), denseEqual(ab, ba))
+                << a.toLabel() << ", " << b.toLabel();
+            anticommuting += form;
+        }
+    }
+    // Half of all ordered pairs but the identity's row and column.
+    EXPECT_EQ(anticommuting, 63u * 64u / 2u);
+}
+
+TEST(RegressionCorpus, ThreeQubitConjugationMatchesDense)
+{
+    std::vector<Gate> gates;
+    for (uint32_t q = 0; q < 3; ++q) {
+        gates.push_back({ GateType::H, q });
+        gates.push_back({ GateType::S, q });
+        for (uint32_t t = 0; t < 3; ++t)
+            if (t != q)
+                gates.push_back({ GateType::CX, q, t });
+    }
+    for (const Gate &g : gates) {
+        const Dense8 u = denseGate(g);
+        for (const PauliString &p : allThreeQubitPaulis()) {
+            PauliString image = p;
+            applyGateToPauli(image, g); // U P U~
+            EXPECT_TRUE(denseEqual(
+                densePauli(image),
+                denseMul(denseMul(u, densePauli(p)), denseAdjoint(u))))
+                << gateName(g.type) << "(" << g.q0 << "," << g.q1
+                << ") on " << p.toLabel();
+        }
+    }
+}
+
+/** @} */
 
 /** The stateful scenarios below run on both simulator implementations
  *  through this shared driver. */

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "benchgen/suite.hpp"
+#include "core/clifford_extractor.hpp"
 #include "sim/statevector.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "transpile/commutative_cancellation.hpp"
@@ -17,6 +19,7 @@
 #include "transpile/pass_manager.hpp"
 #include "transpile/phase_rotation_folding.hpp"
 #include "transpile/single_qubit_fusion.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -503,6 +506,89 @@ TEST(PassPropertyTest, Level3IsCliffordSafeWithEqualTableau)
         EXPECT_TRUE(CliffordTableau::fromCircuit(qc) ==
                     CliffordTableau::fromCircuit(before));
     }
+}
+
+/** Random circuit over all 14 gate types (Clifford set plus rotations). */
+QuantumCircuit
+randomAnyGateCircuit(uint32_t n, size_t gates, Rng &rng)
+{
+    QuantumCircuit qc(n);
+    while (qc.size() < gates) {
+        const uint32_t q = static_cast<uint32_t>(rng.uniformInt(n));
+        switch (rng.uniformInt(4)) {
+          case 0: qc.rz(q, rng.uniformReal(-3, 3)); break;
+          case 1: qc.rx(q, rng.uniformReal(-3, 3)); break;
+          case 2: qc.ry(q, rng.uniformReal(-3, 3)); break;
+          default: qc.append(randomCliffordGate(n, rng)); break;
+        }
+    }
+    return qc;
+}
+
+/** Registry level3 inputs: U' and tail of every Table II row. */
+std::vector<QuantumCircuit>
+registryLevel3Inputs()
+{
+    std::vector<QuantumCircuit> inputs;
+    ExtractionConfig config;
+    config.threads = 1;
+    for (const std::string &name : allBenchmarkNames()) {
+        ExtractionResult result =
+            CliffordExtractor(config).run(makeBenchmark(name).terms);
+        inputs.push_back(std::move(result.optimized));
+        inputs.push_back(std::move(result.extractedClifford));
+    }
+    return inputs;
+}
+
+/** @p pass, once run, has nothing left to do on its own output. */
+void
+expectIdempotent(const Pass &pass, QuantumCircuit qc)
+{
+    pass.run(qc);
+    const QuantumCircuit once = qc;
+    EXPECT_FALSE(pass.run(qc)) << pass.name() << " changed its own output";
+    EXPECT_EQ(qc.size(), once.size()) << pass.name();
+}
+
+TEST(PassPropertyTest, PassesAreIdempotent)
+{
+    const SingleQubitFusion fusion;
+    const CommutativeCancellation commutative;
+    const CommutativeCancellation commutative_keep(false);
+    const PhaseRotationFolding folding;
+    const Pass *passes[] = { &fusion, &commutative, &commutative_keep,
+                             &folding };
+    std::vector<QuantumCircuit> corpus = registryLevel3Inputs();
+    Rng rng(109);
+    for (int trial = 0; trial < 300; ++trial) {
+        const uint32_t n = 1 + static_cast<uint32_t>(rng.uniformInt(5));
+        corpus.push_back(randomAnyGateCircuit(n, 10 + rng.uniformInt(120),
+                                              rng));
+        corpus.push_back(randomRichCircuit(n, 60, rng));
+    }
+    for (const QuantumCircuit &qc : corpus)
+        for (const Pass *pass : passes)
+            expectIdempotent(*pass, qc);
+}
+
+TEST(PassPropertyTest, CxCancellationNeedsSecondRunForNestedPairs)
+{
+    // The known exception to idempotence: CxCancellation pairs only
+    // gates adjacent on both wires in one left-to-right scan, so the
+    // outer pair of a nested CX(0,1) CX(0,2) CX(0,2) CX(0,1) only
+    // becomes adjacent after the inner pair is gone.
+    QuantumCircuit qc(3);
+    qc.cx(0, 1);
+    qc.cx(0, 2);
+    qc.cx(0, 2);
+    qc.cx(0, 1);
+    const CxCancellation pass;
+    EXPECT_TRUE(pass.run(qc));
+    EXPECT_EQ(qc.size(), 2u);
+    EXPECT_TRUE(pass.run(qc));
+    EXPECT_EQ(qc.size(), 0u);
+    EXPECT_FALSE(pass.run(qc));
 }
 
 
