@@ -15,7 +15,7 @@
  * scalar/sequential counterparts. CI records them as JSON via
  *   bench_micro \
  *     --benchmark_filter='Tableau|Extraction|ExtractorCommutingBlock|Absorb|'\
- *                        'StabilizerSim|DepthScheduling|Level3Pass' \
+ *                        'DepthScheduling|Level3Pass' \
  *     --benchmark_out=BENCH_tableau.json --benchmark_out_format=json
  */
 #include <benchmark/benchmark.h>
@@ -32,13 +32,10 @@
 #include "core/tree_synthesis.hpp"
 #include "mapping/devices.hpp"
 #include "mapping/sabre_router.hpp"
-#include "sim/noise_model.hpp"
 #include "sim/statevector.hpp"
 #include "pauli/pauli_term.hpp"
+#include "support/reference_tableau.hpp"
 #include "tableau/packed_tableau.hpp"
-#include "tableau/reference_stabilizer_simulator.hpp"
-#include "tableau/reference_tableau.hpp"
-#include "tableau/stabilizer_simulator.hpp"
 #include "transpile/commutative_cancellation.hpp"
 #include "transpile/depth_scheduling.hpp"
 #include "transpile/phase_rotation_folding.hpp"
@@ -623,122 +620,6 @@ BM_StatevectorGate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StatevectorGate)->Arg(10)->Arg(14);
-
-/**
- * @name Stabilizer-simulator engine pairs.
- *
- * The bit-sliced StabilizerSimulator against the preserved row-major
- * ReferenceStabilizerSimulator on identical gate and measurement
- * streams (twin RNG seeds keep the random-outcome draws aligned, so
- * both engines walk the same state sequence). The NoiseMc series is
- * the batched Monte-Carlo fault sampler's shot throughput: /1 is the
- * sequential baseline, /0 fans shot blocks over hardware concurrency
- * with bit-identical output.
- * @{
- */
-
-template <typename Sim>
-void
-stabilizerSimGates(benchmark::State &state)
-{
-    const uint32_t n = static_cast<uint32_t>(state.range(0));
-    Sim sim(n);
-    const auto gates = randomGateStream(n, 4096, 21);
-    size_t g = 0;
-    for (auto _ : state) {
-        sim.applyGate(gates[g]);
-        g = (g + 1) % gates.size();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-
-void
-BM_StabilizerSimGatesPacked(benchmark::State &state)
-{
-    stabilizerSimGates<StabilizerSimulator>(state);
-}
-BENCHMARK(BM_StabilizerSimGatesPacked)
-    ->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-void
-BM_StabilizerSimGatesReference(benchmark::State &state)
-{
-    stabilizerSimGates<ReferenceStabilizerSimulator>(state);
-}
-BENCHMARK(BM_StabilizerSimGatesReference)
-    ->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-/**
- * Interleaved evolve-and-measure: eight gates of re-scrambling per
- * measurement keep a mix of random- and deterministic-outcome
- * measurements flowing (a measured qubit's outcome is deterministic
- * until later gates entangle it again).
- */
-template <typename Sim>
-void
-stabilizerSimMeasure(benchmark::State &state)
-{
-    const uint32_t n = static_cast<uint32_t>(state.range(0));
-    Sim sim(n);
-    const auto gates = randomGateStream(n, 4096, 22);
-    Rng rng(23);
-    size_t g = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 8; ++i) {
-            sim.applyGate(gates[g]);
-            g = (g + 1) % gates.size();
-        }
-        const uint32_t q = static_cast<uint32_t>(rng.uniformInt(n));
-        benchmark::DoNotOptimize(sim.measure(q, rng));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-
-void
-BM_StabilizerSimMeasurePacked(benchmark::State &state)
-{
-    stabilizerSimMeasure<StabilizerSimulator>(state);
-}
-BENCHMARK(BM_StabilizerSimMeasurePacked)->Arg(64)->Arg(256)->Arg(1024);
-
-void
-BM_StabilizerSimMeasureReference(benchmark::State &state)
-{
-    stabilizerSimMeasure<ReferenceStabilizerSimulator>(state);
-}
-BENCHMARK(BM_StabilizerSimMeasureReference)->Arg(64)->Arg(256)->Arg(1024);
-
-/** Batched noisy-expectation sampler; arg = SamplerOptions::threads. */
-void
-BM_StabilizerSimNoiseMc(benchmark::State &state)
-{
-    const uint32_t n = 24;
-    Rng rng(24);
-    QuantumCircuit qc(n);
-    for (const Gate &g : randomGateStream(n, 512, 25))
-        qc.append(g);
-    PauliString obs(n);
-    for (uint32_t q = 0; q < n; ++q)
-        obs.setOp(q, PauliOp::Z);
-    NoiseModel noise;
-    noise.singleQubitError = 3e-4;
-    noise.twoQubitError = 5e-3;
-    const size_t shots = 4096;
-    NoiseModel::SamplerOptions options;
-    options.seed = 26;
-    options.threads = static_cast<uint32_t>(state.range(0));
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            noise.noisyStabilizerExpectation(qc, obs, shots, options));
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(shots));
-}
-BENCHMARK(BM_StabilizerSimNoiseMc)
-    ->Arg(1)
-    ->Arg(0)
-    ->UseRealTime();
-
-/** @} */
 
 /**
  * @name Per-dispatch-level tableau kernels.

@@ -154,7 +154,7 @@ TreeSynthesizer::synth(const std::vector<uint32_t> &idxs, uint32_t depth)
             // with the same set would loop forever; advance the lookahead
             // instead to order the chain by the following Pauli.
             if (config_.recursive && depth + 1 < config_.maxLookahead)
-                root = synthSameSet(group, depth + 1);
+                root = synth(group, depth + 1);
             else
                 root = chain(group);
             return root;
@@ -166,15 +166,6 @@ TreeSynthesizer::synth(const std::vector<uint32_t> &idxs, uint32_t depth)
         roots.push_back(root);
     }
     return connectRoots(roots, depth);
-}
-
-uint32_t
-TreeSynthesizer::synthSameSet(const std::vector<uint32_t> &idxs,
-                              uint32_t depth)
-{
-    // Identical to synth() but called when a partition was degenerate;
-    // the depth has already advanced past the uninformative Pauli.
-    return synth(idxs, depth);
 }
 
 uint32_t

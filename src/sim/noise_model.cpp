@@ -279,9 +279,7 @@ NoiseModel::noisyStabilizerExpectation(const QuantumCircuit &qc,
         }
     };
 
-    if (options.pool != nullptr) {
-        options.pool->parallelFor(num_blocks, run_blocks);
-    } else if (options.threads != 1) {
+    if (options.threads != 1) {
         WorkerPool pool(options.threads);
         pool.parallelFor(num_blocks, run_blocks);
     } else {

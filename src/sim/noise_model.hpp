@@ -24,8 +24,6 @@
 
 namespace quclear {
 
-class WorkerPool;
-
 /** Per-gate depolarizing error rates (defaults ~ current superconducting
  *  hardware: 0.03% per 1q gate, 0.5% per 2q gate). */
 struct NoiseModel
@@ -96,8 +94,7 @@ struct NoiseModel
         uint64_t seed = 1;
 
         /** Worker threads for the shot blocks: 0 = hardware
-         *  concurrency, 1 = inline (no pool), N = exactly N. Ignored
-         *  when @ref pool is set. */
+         *  concurrency, 1 = inline (no pool), N = exactly N. */
         uint32_t threads = 1;
 
         /** Shots per block (a block is the unit of parallel work and
@@ -105,10 +102,6 @@ struct NoiseModel
          *  in block order, so results are bit-identical for every
          *  threads / shotBlock choice). */
         size_t shotBlock = 1024;
-
-        /** Replay blocks on this shared pool instead of a private one
-         *  (the service scheduler path). */
-        WorkerPool *pool = nullptr;
     };
 
     /**

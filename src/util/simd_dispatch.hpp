@@ -3,7 +3,7 @@
  * Runtime-dispatched SIMD backend for the packed bit-kernels.
  *
  * Every hot word-loop of the bit-sliced engine — gate-append column
- * updates, popcount reductions, Pauli multiplication, the dense
+ * updates, the symplectic parity reduction, Pauli multiplication, the dense
  * conjugation column pass, the batch row-product walk, and the 64x64
  * bit-block transpose — is routed through a table of function pointers
  * (Kernels). Two backends implement the table:
@@ -111,15 +111,10 @@ struct Kernels
     void (*swapWords)(uint64_t *a, uint64_t *b, uint32_t n);
     /** @} */
 
-    /** @name Popcount-accumulate reductions. @{ */
-    uint64_t (*popcountWords)(const uint64_t *a, uint32_t n);
-    uint64_t (*popcountAnd)(const uint64_t *a, const uint64_t *b,
-                            uint32_t n);
     /** Symplectic product parity: |xa & zb| + |za & xb| mod 2. */
     uint32_t (*anticommuteParity)(const uint64_t *xa, const uint64_t *za,
                                   const uint64_t *xb, const uint64_t *zb,
                                   uint32_t n);
-    /** @} */
 
     /**
      * Pauli word multiply: xa ^= xb, za ^= zb, returning the
@@ -138,21 +133,6 @@ struct Kernels
     DenseColumnResult (*denseColumn)(const uint64_t *xc,
                                      const uint64_t *zc,
                                      const uint64_t *mask, uint32_t n);
-
-    /**
-     * One column of the broadcast row-sum backing measurement collapse
-     * (the Aaronson-Gottesman "rowsum" over a whole selection at
-     * once): every row selected by @p mask is multiplied on the right
-     * by the broadcast letter (@p bx, @p bz) of this column. The
-     * column bits update in place and each selected row's i-exponent
-     * contribution (the per-qubit mulWords tally with the second
-     * operand fixed) is added mod 4 into the carry-save phase planes
-     * @p acc0 (low bit) / @p acc1 (high bit). An identity broadcast
-     * (bx == bz == 0) is a no-op.
-     */
-    void (*rowsumColumn)(uint64_t *xc, uint64_t *zc,
-                         const uint64_t *mask, uint32_t bx, uint32_t bz,
-                         uint64_t *acc0, uint64_t *acc1, uint32_t n);
 
     /**
      * The batch conjugation inner kernel: walk the selected rows (via

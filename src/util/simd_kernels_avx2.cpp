@@ -259,34 +259,6 @@ swapWords(uint64_t *a, uint64_t *b, uint32_t n)
         std::swap(a[w], b[w]);
 }
 
-uint64_t
-popcountWords(const uint64_t *a, uint32_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    uint32_t w = 0;
-    for (; w + 4 <= n; w += 4)
-        acc = _mm256_add_epi64(acc, popcnt64x4(loadu(a + w)));
-    uint64_t c = hsum(acc);
-    for (; w < n; ++w)
-        c += popcnt(a[w]);
-    return c;
-}
-
-uint64_t
-popcountAnd(const uint64_t *a, const uint64_t *b, uint32_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    uint32_t w = 0;
-    for (; w + 4 <= n; w += 4)
-        acc = _mm256_add_epi64(
-            acc, popcnt64x4(_mm256_and_si256(loadu(a + w),
-                                             loadu(b + w))));
-    uint64_t c = hsum(acc);
-    for (; w < n; ++w)
-        c += popcnt(a[w] & b[w]);
-    return c;
-}
-
 uint32_t
 anticommuteParity(const uint64_t *xa, const uint64_t *za,
                   const uint64_t *xb, const uint64_t *zb, uint32_t n)
@@ -453,89 +425,6 @@ denseColumn(const uint64_t *xc, const uint64_t *zc, const uint64_t *mask,
     }
     return { popcnt(x_fold) & 1, popcnt(z_fold) & 1,
              static_cast<uint32_t>(y_count), pair_fold };
-}
-
-/** Broadcast row-sum column update (see the scalar backend), 4 words
- *  per step with the compile-time broadcast letter specializing the
- *  +-i case masks. */
-template <bool BX, bool BZ>
-void
-rowsumColumnImpl(uint64_t *xc, uint64_t *zc, const uint64_t *mask,
-                 uint64_t *acc0, uint64_t *acc1, uint32_t n)
-{
-    uint32_t w = 0;
-    for (; w + 4 <= n; w += 4) {
-        const __m256i m = loadu(mask + w);
-        const __m256i x1 = loadu(xc + w);
-        const __m256i z1 = loadu(zc + w);
-        __m256i plus, minus;
-        if (BX && BZ) {  // . Y: X -> +i, Z -> -i
-            plus = _mm256_andnot_si256(z1, x1);
-            minus = _mm256_andnot_si256(x1, z1);
-        } else if (BX) { // . X: Z -> +i, Y -> -i
-            plus = _mm256_andnot_si256(x1, z1);
-            minus = _mm256_and_si256(x1, z1);
-        } else {         // . Z: Y -> +i, X -> -i
-            plus = _mm256_and_si256(x1, z1);
-            minus = _mm256_andnot_si256(z1, x1);
-        }
-        plus = _mm256_and_si256(plus, m);
-        minus = _mm256_and_si256(minus, m);
-        __m256i a0 = loadu(acc0 + w);
-        __m256i a1 = loadu(acc1 + w);
-        __m256i carry = _mm256_and_si256(a0, plus);
-        a0 = _mm256_xor_si256(a0, plus);
-        a1 = _mm256_xor_si256(a1, _mm256_xor_si256(carry, minus));
-        carry = _mm256_and_si256(a0, minus);
-        a0 = _mm256_xor_si256(a0, minus);
-        a1 = _mm256_xor_si256(a1, carry);
-        storeu(acc0 + w, a0);
-        storeu(acc1 + w, a1);
-        if (BX)
-            storeu(xc + w, _mm256_xor_si256(x1, m));
-        if (BZ)
-            storeu(zc + w, _mm256_xor_si256(z1, m));
-    }
-    for (; w < n; ++w) {
-        const uint64_t m = mask[w];
-        const uint64_t x1 = xc[w], z1 = zc[w];
-        uint64_t plus, minus;
-        if (BX && BZ) {
-            plus = x1 & ~z1;
-            minus = ~x1 & z1;
-        } else if (BX) {
-            plus = ~x1 & z1;
-            minus = x1 & z1;
-        } else {
-            plus = x1 & z1;
-            minus = x1 & ~z1;
-        }
-        plus &= m;
-        minus &= m;
-        uint64_t carry = acc0[w] & plus;
-        acc0[w] ^= plus;
-        acc1[w] ^= carry ^ minus;
-        carry = acc0[w] & minus;
-        acc0[w] ^= minus;
-        acc1[w] ^= carry;
-        if (BX)
-            xc[w] ^= m;
-        if (BZ)
-            zc[w] ^= m;
-    }
-}
-
-void
-rowsumColumn(uint64_t *xc, uint64_t *zc, const uint64_t *mask,
-             uint32_t bx, uint32_t bz, uint64_t *acc0, uint64_t *acc1,
-             uint32_t n)
-{
-    if (bx != 0 && bz != 0)
-        rowsumColumnImpl<true, true>(xc, zc, mask, acc0, acc1, n);
-    else if (bx != 0)
-        rowsumColumnImpl<true, false>(xc, zc, mask, acc0, acc1, n);
-    else if (bz != 0)
-        rowsumColumnImpl<false, true>(xc, zc, mask, acc0, acc1, n);
 }
 
 /** rw == 1: one 128-bit register holds the whole [x | z] row slot. */
@@ -814,12 +703,9 @@ constexpr Kernels kAvx2Kernels = {
     xorInto,
     xorInto2,
     swapWords,
-    popcountWords,
-    popcountAnd,
     anticommuteParity,
     mulWords,
     denseColumn,
-    rowsumColumn,
     rowProduct,
     padRowWords,
     transpose64x2,

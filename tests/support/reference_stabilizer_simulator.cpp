@@ -1,4 +1,4 @@
-#include "tableau/reference_stabilizer_simulator.hpp"
+#include "support/reference_stabilizer_simulator.hpp"
 
 #include <cassert>
 #include <cstdint>

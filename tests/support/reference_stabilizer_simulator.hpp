@@ -1,12 +1,14 @@
 /**
  * @file
  * Row-major Aaronson-Gottesman stabilizer simulator (the seed
- * implementation), preserved as the semantic oracle for the bit-sliced
- * StabilizerSimulator. Every generator is a heap-allocated PauliString
- * and every operation is the textbook row walk, so the code stays an
- * executable statement of the measurement and phase rules the packed
- * engine must reproduce bit for bit (tests/test_stabilizer_packed.cpp
- * cross-checks the two on identical RNG streams).
+ * implementation), kept as a test oracle. Every generator is a
+ * heap-allocated PauliString and every operation is the textbook row
+ * walk, so the code stays an executable statement of the measurement
+ * and phase rules. The library itself holds no state simulator: the
+ * noise sampler pulls observables back through the tail instead
+ * (src/sim/noise_model.hpp). Tests use this class to check stabilizer
+ * expectations, sampling statistics and the sign convention of
+ * CliffordTableau against dense statevectors.
  */
 #ifndef QUCLEAR_TABLEAU_REFERENCE_STABILIZER_SIMULATOR_HPP
 #define QUCLEAR_TABLEAU_REFERENCE_STABILIZER_SIMULATOR_HPP
@@ -23,9 +25,9 @@ namespace quclear {
 
 /**
  * Stabilizer state over n qubits, initialized to |0...0>, stored as 2n
- * row-major PauliString generators. API and RNG consumption are
- * identical to StabilizerSimulator, so seeded runs of the two are
- * interchangeable.
+ * row-major PauliString generators. A random measurement outcome is
+ * the low bit of exactly one rng() draw, so seeded runs are
+ * reproducible.
  */
 class ReferenceStabilizerSimulator
 {

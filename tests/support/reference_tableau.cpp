@@ -1,4 +1,4 @@
-#include "tableau/reference_tableau.hpp"
+#include "support/reference_tableau.hpp"
 
 #include <cassert>
 #include <cstdint>

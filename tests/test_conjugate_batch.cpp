@@ -22,9 +22,9 @@
 #include "benchgen/suite.hpp"
 #include "core/absorption_pre.hpp"
 #include "core/clifford_extractor.hpp"
+#include "support/reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "tableau/packed_tableau.hpp"
-#include "tableau/reference_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 #include "util/worker_pool.hpp"

@@ -19,12 +19,10 @@
 #include "benchgen/suite.hpp"
 #include "core/quclear.hpp"
 #include "sim/noise_model.hpp"
-#include "tableau/reference_stabilizer_simulator.hpp"
-#include "tableau/reference_tableau.hpp"
-#include "tableau/stabilizer_simulator.hpp"
+#include "support/reference_stabilizer_simulator.hpp"
+#include "support/reference_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
-#include "util/worker_pool.hpp"
 
 namespace quclear {
 namespace {
@@ -142,7 +140,7 @@ TEST(NoiseModelTest, ZeroNoiseReproducesIdealExpectation)
     noiseless.twoQubitError = 0.0;
 
     const QuantumCircuit qc = ghzCircuit(5);
-    StabilizerSimulator ideal(5);
+    ReferenceStabilizerSimulator ideal(5);
     ideal.applyCircuit(qc);
     const PauliString obs = PauliString::fromLabel("XXXXX");
     ASSERT_EQ(ideal.expectation(obs), 1);
@@ -163,7 +161,7 @@ TEST(NoiseModelTest, NoisyExpectationWithinErrorBudget)
     const uint32_t n = 6;
     const QuantumCircuit qc = ghzCircuit(n);
     const PauliString obs = PauliString::fromLabel("XXXXXX");
-    StabilizerSimulator ideal(n);
+    ReferenceStabilizerSimulator ideal(n);
     ideal.applyCircuit(qc);
     const double ideal_exp = ideal.expectation(obs);
     ASSERT_EQ(ideal_exp, 1.0);
@@ -204,7 +202,7 @@ TEST(NoiseModelTest, NoisyVsIdealDeltaBoundedOnRandomCliffords)
     for (int trial = 0; trial < 6; ++trial) {
         const uint32_t n = 4;
         const QuantumCircuit qc = randomCliffordCircuit(n, 24, rng);
-        StabilizerSimulator ideal(n);
+        ReferenceStabilizerSimulator ideal(n);
         ideal.applyCircuit(qc);
 
         PauliString obs(n);
@@ -267,18 +265,6 @@ TEST(NoiseModelTest, BatchedSamplerBitIdenticalAcrossThreadGrid)
             EXPECT_EQ(got.faultSites, expected.faultSites);
         }
     }
-
-    // A caller-owned pool must give the same answer as sampler-owned
-    // threads (this is the path the compilation service exercises).
-    WorkerPool pool(4);
-    NoiseModel::SamplerOptions pooled;
-    pooled.seed = baseline.seed;
-    pooled.shotBlock = 128;
-    pooled.pool = &pool;
-    const auto via_pool =
-        noise.noisyStabilizerExpectation(qc, obs, shots, pooled);
-    EXPECT_EQ(via_pool.expectation, expected.expectation);
-    EXPECT_EQ(via_pool.errorEvents, expected.errorEvents);
 
     // A different master seed must actually change the sampled faults;
     // otherwise the grid above would pass vacuously.

@@ -8,23 +8,19 @@
  * i into tableau signs, conjugation tables with S/Sdg or sqrt(X)
  * transposed, and measurement collapse that fails to pin later
  * correlated measurements. The assertions are exact (phases and
- * outcomes, not distributions) and every stateful scenario runs
- * against BOTH simulators — the bit-sliced StabilizerSimulator and the
- * row-major ReferenceStabilizerSimulator oracle — so a convention slip
- * in either implementation, or a divergence between them, fails here
- * with a named scenario instead of deep inside a randomized suite.
+ * outcomes, not distributions) and the stateful scenarios run on the
+ * row-major ReferenceStabilizerSimulator, so a convention slip fails
+ * here with a named scenario instead of deep inside a randomized suite.
  */
 #include <gtest/gtest.h>
 
 #include <array>
 #include <complex>
-#include <string>
 #include <vector>
 
 #include "circuit/quantum_circuit.hpp"
 #include "pauli/pauli_string.hpp"
-#include "tableau/reference_stabilizer_simulator.hpp"
-#include "tableau/stabilizer_simulator.hpp"
+#include "support/reference_stabilizer_simulator.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -338,13 +334,9 @@ TEST(RegressionCorpus, ThreeQubitConjugationMatchesDense)
 
 /** @} */
 
-/** The stateful scenarios below run on both simulator implementations
- *  through this shared driver. */
-template <typename Sim>
-void
-runCollapseDeterminismScenarios(const std::string &impl)
+TEST(RegressionCorpus, CollapseDeterminismReference)
 {
-    SCOPED_TRACE(impl);
+    using Sim = ReferenceStabilizerSimulator;
     // |1> preparations that must ALL read 1 deterministically —
     // including via Y, whose i phase is global and must not leak into
     // the outcome, and via HZH, which exercises conjugation signs.
@@ -464,17 +456,6 @@ runCollapseDeterminismScenarios(const std::string &impl)
         sim.reset(0, rng);
         EXPECT_FALSE(sim.measure(0, rng));
     }
-}
-
-TEST(RegressionCorpus, CollapseDeterminismPacked)
-{
-    runCollapseDeterminismScenarios<StabilizerSimulator>("packed");
-}
-
-TEST(RegressionCorpus, CollapseDeterminismReference)
-{
-    runCollapseDeterminismScenarios<ReferenceStabilizerSimulator>(
-        "reference");
 }
 
 } // namespace

@@ -18,9 +18,9 @@
 #include "core/circuit_to_paulis.hpp"
 #include "core/clifford_extractor.hpp"
 #include "pauli/pauli_term.hpp"
+#include "support/reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "tableau/packed_tableau.hpp"
-#include "tableau/reference_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the Aaronson-Gottesman stabilizer simulator — the classical
- * engine that makes Clifford Absorption "free" (Gottesman-Knill).
- * Cross-validated against the dense simulator on random Clifford
- * circuits.
+ * Tests for the row-major Aaronson-Gottesman stabilizer simulator, the
+ * test-support oracle for the classical simulability that makes
+ * Clifford Absorption "free" (Gottesman-Knill). Cross-validated
+ * against the dense simulator on random Clifford circuits.
  */
 #include <gtest/gtest.h>
 
 #include "sim/statevector.hpp"
-#include "tableau/stabilizer_simulator.hpp"
+#include "support/reference_stabilizer_simulator.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -18,14 +18,14 @@ namespace {
 TEST(StabilizerSimTest, ZeroStateMeasuresZero)
 {
     Rng rng(1);
-    StabilizerSimulator sim(4);
+    ReferenceStabilizerSimulator sim(4);
     EXPECT_EQ(sim.measureAll(rng), 0u);
 }
 
 TEST(StabilizerSimTest, XFlipsDeterministically)
 {
     Rng rng(2);
-    StabilizerSimulator sim(3);
+    ReferenceStabilizerSimulator sim(3);
     sim.applyGate({ GateType::X, 1 });
     EXPECT_EQ(sim.measureAll(rng), 0b010u);
 }
@@ -34,7 +34,7 @@ TEST(StabilizerSimTest, BellPairCorrelated)
 {
     Rng rng(3);
     for (int trial = 0; trial < 50; ++trial) {
-        StabilizerSimulator sim(2);
+        ReferenceStabilizerSimulator sim(2);
         sim.applyGate({ GateType::H, 0 });
         sim.applyGate({ GateType::CX, 0u, 1u });
         const bool a = sim.measure(0, rng);
@@ -46,7 +46,7 @@ TEST(StabilizerSimTest, BellPairCorrelated)
 TEST(StabilizerSimTest, MeasurementCollapsesState)
 {
     Rng rng(4);
-    StabilizerSimulator sim(1);
+    ReferenceStabilizerSimulator sim(1);
     sim.applyGate({ GateType::H, 0 });
     const bool first = sim.measure(0, rng);
     for (int k = 0; k < 10; ++k)
@@ -59,7 +59,7 @@ TEST(StabilizerSimTest, ExpectationMatchesStatevector)
     for (int trial = 0; trial < 30; ++trial) {
         const uint32_t n = 4;
         QuantumCircuit qc = randomCliffordCircuit(n, 20, rng);
-        StabilizerSimulator sim(n);
+        ReferenceStabilizerSimulator sim(n);
         sim.applyCircuit(qc);
         Statevector sv(n);
         sv.applyCircuit(qc);
@@ -87,7 +87,8 @@ TEST(StabilizerSimTest, SampleMatchesStatevectorDistribution)
 
     Rng sample_rng(7);
     const size_t shots = 20000;
-    const auto counts = StabilizerSimulator::sample(qc, shots, sample_rng);
+    const auto counts =
+        ReferenceStabilizerSimulator::sample(qc, shots, sample_rng);
     for (uint64_t b = 0; b < (1u << n); ++b) {
         const double freq =
             counts.count(b)
@@ -103,7 +104,7 @@ TEST(StabilizerSimTest, GhzParity)
     // GHZ: all-zero or all-one outcomes only.
     Rng rng(8);
     for (int trial = 0; trial < 30; ++trial) {
-        StabilizerSimulator sim(5);
+        ReferenceStabilizerSimulator sim(5);
         sim.applyGate({ GateType::H, 0 });
         for (uint32_t q = 0; q + 1 < 5; ++q)
             sim.applyGate({ GateType::CX, q, q + 1 });
@@ -115,7 +116,7 @@ TEST(StabilizerSimTest, GhzParity)
 TEST(StabilizerSimTest, ExpectationOfStabilizerIsOne)
 {
     // For the state H|0>, <X> = 1 and <Z> = 0.
-    StabilizerSimulator sim(1);
+    ReferenceStabilizerSimulator sim(1);
     sim.applyGate({ GateType::H, 0 });
     EXPECT_EQ(sim.expectation(PauliString::fromLabel("X")), 1);
     EXPECT_EQ(sim.expectation(PauliString::fromLabel("Z")), 0);
@@ -127,7 +128,7 @@ TEST(StabilizerSimTest, PauliMeasurementDeterministicCases)
 {
     // Bell state: ZZ and XX are stabilizers (+1 deterministic).
     Rng rng(9);
-    StabilizerSimulator sim(2);
+    ReferenceStabilizerSimulator sim(2);
     sim.applyGate({ GateType::H, 0 });
     sim.applyGate({ GateType::CX, 0u, 1u });
     EXPECT_FALSE(sim.measurePauli(PauliString::fromLabel("ZZ"), rng));
@@ -142,7 +143,7 @@ TEST(StabilizerSimTest, PauliMeasurementCollapses)
 {
     Rng rng(10);
     for (int trial = 0; trial < 20; ++trial) {
-        StabilizerSimulator sim(2);
+        ReferenceStabilizerSimulator sim(2);
         sim.applyGate({ GateType::H, 0 });
         // Measure X0 X1 on |+0>: random, then repeatable.
         const bool first =
@@ -165,11 +166,14 @@ TEST(StabilizerSimTest, SamplingIsSeedDeterministic)
     const QuantumCircuit qc = randomCliffordCircuit(4, 25, rng);
 
     Rng sample_a(99), sample_b(99), sample_c(100);
-    const auto counts_a = StabilizerSimulator::sample(qc, 500, sample_a);
-    const auto counts_b = StabilizerSimulator::sample(qc, 500, sample_b);
+    const auto counts_a =
+        ReferenceStabilizerSimulator::sample(qc, 500, sample_a);
+    const auto counts_b =
+        ReferenceStabilizerSimulator::sample(qc, 500, sample_b);
     EXPECT_EQ(counts_a, counts_b);
 
-    const auto counts_c = StabilizerSimulator::sample(qc, 2000, sample_c);
+    const auto counts_c =
+        ReferenceStabilizerSimulator::sample(qc, 2000, sample_c);
     Statevector sv(4);
     sv.applyCircuit(qc);
     const auto probs = sv.probabilities();
@@ -184,7 +188,7 @@ TEST(StabilizerSimTest, ResetForcesZero)
 {
     Rng rng(11);
     for (int trial = 0; trial < 20; ++trial) {
-        StabilizerSimulator sim(2);
+        ReferenceStabilizerSimulator sim(2);
         sim.applyGate({ GateType::H, 0 });
         sim.applyGate({ GateType::X, 1 });
         sim.reset(0, rng);

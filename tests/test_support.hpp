@@ -15,6 +15,8 @@
 #include "circuit/quantum_circuit.hpp"
 #include "pauli/pauli_string.hpp"
 #include "pauli/pauli_term.hpp"
+#include "support/reference_stabilizer_simulator.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "util/rng.hpp"
 
 namespace quclear {
@@ -126,6 +128,30 @@ expectSameCircuit(const QuantumCircuit &a, const QuantumCircuit &b)
         ASSERT_EQ(a.gate(i).q1, b.gate(i).q1) << "gate " << i;
         ASSERT_DOUBLE_EQ(a.gate(i).angle, b.gate(i).angle) << "gate " << i;
     }
+}
+
+/**
+ * @p sim holds U|0...0> for the Clifford U = @p tail. Every image
+ * U Z_q U~ from the tableau of @p tail must then stabilize it with
+ * eigenvalue +1, which ties the simulator's sign convention to the
+ * tableau's. At least one image must differ from Z_q, so an identity
+ * tail cannot pass vacuously.
+ */
+inline void
+expectTailStabilizesZeroState(const ReferenceStabilizerSimulator &sim,
+                              const QuantumCircuit &tail)
+{
+    const uint32_t n = tail.numQubits();
+    const CliffordTableau t = CliffordTableau::fromCircuit(tail);
+    uint32_t moved = 0;
+    for (uint32_t q = 0; q < n; ++q) {
+        PauliString zq(n);
+        zq.setOp(q, PauliOp::Z);
+        const PauliString image = t.conjugate(zq);
+        moved += image != zq;
+        EXPECT_EQ(sim.expectation(image), 1) << "qubit " << q;
+    }
+    EXPECT_GT(moved, 0u);
 }
 
 } // namespace quclear

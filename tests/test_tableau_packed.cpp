@@ -11,9 +11,9 @@
  */
 #include <gtest/gtest.h>
 
+#include "support/reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "tableau/packed_tableau.hpp"
-#include "tableau/reference_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
