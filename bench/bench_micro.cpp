@@ -8,9 +8,9 @@
  * Sec. VI-B), depth scheduling of a compiled U', and the two costliest
  * level3 passes on an extracted U' and tail.
  *
- * The Packed/Reference benchmark pairs measure the bit-sliced engine
- * against the preserved row-major seed implementation on identical gate
- * and Pauli streams; the ...Batch / ...Threaded variants record the
+ * The CliffordTableau/ReferenceTableau benchmark pairs measure the
+ * bit-sliced engine against the preserved row-major seed implementation
+ * on identical gate and Pauli streams; the ...Batch / ...Threaded variants record the
  * batched conjugation kernel and the worker-pool paths against their
  * scalar/sequential counterparts. CI records them as JSON via
  *   bench_micro \
@@ -35,13 +35,12 @@
 #include "sim/statevector.hpp"
 #include "pauli/pauli_term.hpp"
 #include "support/reference_tableau.hpp"
-#include "tableau/packed_tableau.hpp"
+#include "tableau/clifford_tableau.hpp"
 #include "transpile/commutative_cancellation.hpp"
 #include "transpile/depth_scheduling.hpp"
 #include "transpile/phase_rotation_folding.hpp"
 #include "util/rng.hpp"
 #include "util/simd_dispatch.hpp"
-#include "util/worker_pool.hpp"
 
 namespace {
 
@@ -118,11 +117,11 @@ tableauAppendCx(benchmark::State &state)
 }
 
 void
-BM_PackedTableauAppendCx(benchmark::State &state)
+BM_CliffordTableauAppendCx(benchmark::State &state)
 {
-    tableauAppendCx<PackedTableau>(state);
+    tableauAppendCx<CliffordTableau>(state);
 }
-BENCHMARK(BM_PackedTableauAppendCx)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_CliffordTableauAppendCx)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
 void
 BM_ReferenceTableauAppendCx(benchmark::State &state)
@@ -146,11 +145,11 @@ tableauConjugate(benchmark::State &state)
 }
 
 void
-BM_PackedTableauConjugate(benchmark::State &state)
+BM_CliffordTableauConjugate(benchmark::State &state)
 {
-    tableauConjugate<PackedTableau>(state);
+    tableauConjugate<CliffordTableau>(state);
 }
-BENCHMARK(BM_PackedTableauConjugate)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_CliffordTableauConjugate)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
 void
 BM_ReferenceTableauConjugate(benchmark::State &state)
@@ -163,19 +162,19 @@ BENCHMARK(BM_ReferenceTableauConjugate)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
  * The batched conjugation kernel: args are {qubits, batch size}. The
  * tableau transpose is paid once per call and amortized over the
  * batch, so per-item time should sit well below the scalar
- * BM_PackedTableauConjugate at the same qubit count (the acceptance
+ * BM_CliffordTableauConjugate at the same qubit count (the acceptance
  * bar is >= 2x at 128 qubits on >= 16-term batches). The work vector
  * is refreshed element-wise each iteration, which reuses each string's
  * capacity — the same in-place update pattern the extractor's
  * conjugation cache uses.
  */
 void
-BM_PackedTableauConjugateBatch(benchmark::State &state)
+BM_CliffordTableauConjugateBatch(benchmark::State &state)
 {
     const uint32_t n = static_cast<uint32_t>(state.range(0));
     const size_t batch = static_cast<size_t>(state.range(1));
     Rng rng(2);
-    PackedTableau t(n);
+    CliffordTableau t(n);
     scrambleTableau(t, n, 2);
     std::vector<PauliString> inputs;
     for (size_t i = 0; i < batch; ++i)
@@ -190,36 +189,9 @@ BM_PackedTableauConjugateBatch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(batch));
 }
-BENCHMARK(BM_PackedTableauConjugateBatch)
+BENCHMARK(BM_CliffordTableauConjugateBatch)
     ->Args({ 128, 16 })
     ->Args({ 128, 64 })
-    ->Args({ 128, 256 })
-    ->Args({ 256, 64 });
-
-/** Batched conjugation fanned over a worker pool ({qubits, batch}). */
-void
-BM_PackedTableauConjugateBatchThreaded(benchmark::State &state)
-{
-    const uint32_t n = static_cast<uint32_t>(state.range(0));
-    const size_t batch = static_cast<size_t>(state.range(1));
-    Rng rng(2);
-    PackedTableau t(n);
-    scrambleTableau(t, n, 2);
-    std::vector<PauliString> inputs;
-    for (size_t i = 0; i < batch; ++i)
-        inputs.push_back(randomPauli(n, rng));
-    WorkerPool pool(0); // hardware concurrency
-    std::vector<PauliString> work = inputs;
-    for (auto _ : state) {
-        for (size_t i = 0; i < batch; ++i)
-            work[i] = inputs[i];
-        t.conjugateBatch(work, &pool);
-        benchmark::DoNotOptimize(work.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_PackedTableauConjugateBatchThreaded)
     ->Args({ 128, 256 })
     ->Args({ 256, 64 });
 
@@ -250,11 +222,11 @@ tableauAppendConjugate(benchmark::State &state)
 }
 
 void
-BM_PackedTableauAppendConjugate(benchmark::State &state)
+BM_CliffordTableauAppendConjugate(benchmark::State &state)
 {
-    tableauAppendConjugate<PackedTableau>(state);
+    tableauAppendConjugate<CliffordTableau>(state);
 }
-BENCHMARK(BM_PackedTableauAppendConjugate)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_CliffordTableauAppendConjugate)->Arg(64)->Arg(128)->Arg(256);
 
 void
 BM_ReferenceTableauAppendConjugate(benchmark::State &state)
@@ -307,12 +279,11 @@ BENCHMARK(BM_CliffordExtraction)
     ->Args({ 128, 256 });
 
 /**
- * Full extraction through the worker pool (threads = hardware
- * concurrency). These connected random programs form one chain, so the
- * pool only fans out the batch conjugations of block entries and of
- * cross-block lookahead. Output is bit-identical to
- * BM_CliffordExtraction on the same args; only the wall clock may
- * differ.
+ * Full extraction at threads = hardware concurrency. These connected
+ * random programs form one chain, so the extraction runs on the owner
+ * thread and the pool stays idle: this series checks that a thread
+ * count alone costs nothing over BM_CliffordExtraction on the same
+ * args. Output is bit-identical; only the wall clock may differ.
  */
 void
 BM_CliffordExtractionThreaded(benchmark::State &state)
@@ -335,10 +306,10 @@ BENCHMARK(BM_CliffordExtractionThreaded)
  * End-to-end extraction on the paper-scale fragmented ensemble
  * UCC-(6,12)x8 (96 qubits, 8 independent 12-qubit chains), sweeping
  * {threads, block_parallelism}. The /T/B suffixes are the two knobs:
- * /1/1 is the fully sequential baseline, /8/1 is in-block parallelism
- * only, /8/0 adds cross-block chain parallelism (the tentpole's
- * acceptance bar: >= 2x end-to-end over /8/1 at 8 threads). Output is
- * bit-identical across every arg pair; only wall time moves.
+ * /1/1 is the fully sequential baseline; /T/1 caps the chain runners at
+ * one, so it runs the same sequential path beside an idle pool; /T/2
+ * and /T/0 compile up to 2 or T chains at once. Output is bit-identical
+ * across every arg pair; only wall time moves.
  */
 void
 BM_CrossBlockExtraction(benchmark::State &state)
@@ -646,7 +617,7 @@ simdTableauAppendCx(benchmark::State &state, simd::Level lvl)
         state.SkipWithError("dispatch level unsupported on this host");
         return;
     }
-    tableauAppendCx<PackedTableau>(state);
+    tableauAppendCx<CliffordTableau>(state);
     simd::resetLevel();
 }
 
@@ -657,7 +628,7 @@ simdTableauConjugate(benchmark::State &state, simd::Level lvl)
         state.SkipWithError("dispatch level unsupported on this host");
         return;
     }
-    tableauConjugate<PackedTableau>(state);
+    tableauConjugate<CliffordTableau>(state);
     simd::resetLevel();
 }
 
@@ -668,7 +639,7 @@ simdTableauConjugateBatch(benchmark::State &state, simd::Level lvl)
         state.SkipWithError("dispatch level unsupported on this host");
         return;
     }
-    BM_PackedTableauConjugateBatch(state);
+    BM_CliffordTableauConjugateBatch(state);
     simd::resetLevel();
 }
 
@@ -683,7 +654,7 @@ simdTableauConjugateBatchSparse(benchmark::State &state, simd::Level lvl)
     const size_t batch = static_cast<size_t>(state.range(1));
     const auto weight = static_cast<uint32_t>(state.range(2));
     Rng rng(12);
-    PackedTableau t(n);
+    CliffordTableau t(n);
     scrambleTableau(t, n, 12);
     std::vector<PauliString> inputs;
     for (size_t i = 0; i < batch; ++i) {
@@ -713,11 +684,11 @@ simdTableauCompose(benchmark::State &state, simd::Level lvl)
         return;
     }
     const uint32_t n = static_cast<uint32_t>(state.range(0));
-    PackedTableau a(n), b(n);
+    CliffordTableau a(n), b(n);
     scrambleTableau(a, n, 13);
     scrambleTableau(b, n, 14);
     for (auto _ : state) {
-        PackedTableau c = a;
+        CliffordTableau c = a;
         c.composeWith(b);
         benchmark::DoNotOptimize(&c);
     }

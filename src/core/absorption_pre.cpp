@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,18 +17,17 @@ absorbObservables(const ExtractionResult &extraction,
 {
     const uint32_t n = extraction.optimized.numQubits();
     WorkerPool pool(threads);
-    WorkerPool *const pool_ptr = pool.threadCount() > 1 ? &pool : nullptr;
 
     // O' = U_CL~ O U_CL = E O E~, which is exactly the conjugator
-    // tableau's map (U_CL = E~); one batch conjugation transposes the
-    // tableau once for all k observables.
+    // tableau's map (U_CL = E~). Each chunk conjugates its observables
+    // as one batch (one tableau transpose per chunk), then builds each
+    // observable's basis change and measured-qubit list into its own
+    // slot.
     std::vector<PauliString> transformed(observables);
-    extraction.conjugator.conjugateBatch(transformed, pool_ptr);
-
-    // Each observable's basis change and measured-qubit list is built
-    // independently into its own slot.
     std::vector<AbsorbedObservable> absorbed(observables.size());
     pool.parallelFor(observables.size(), [&](size_t begin, size_t end) {
+        extraction.conjugator.conjugateBatch(
+            std::span(transformed).subspan(begin, end - begin));
         for (size_t i = begin; i < end; ++i) {
             AbsorbedObservable &a = absorbed[i];
             a.original = observables[i];

@@ -59,12 +59,12 @@ struct ProbabilityAbsorption
 
 /**
  * Absorb the extracted Clifford into a set of Pauli observables.
- * The conjugations run as one batch through the conjugator tableau
- * (the tableau transpose is built once for all k observables) and the
- * independent per-observable work fans out over @p threads workers
- * (0 = hardware concurrency, 1 = sequential); the result is identical
- * for every thread count. Runtime O(k n^2 / 64) for k observables
- * (Sec. VI-A).
+ * The observables are split into one contiguous chunk per worker of
+ * @p threads (0 = hardware concurrency, 1 = sequential); each chunk
+ * runs as one batch through the conjugator tableau (one tableau
+ * transpose per chunk) and then builds its observables' measurement
+ * bases. The result is identical for every thread count. Runtime
+ * O(k n^2 / 64) for k observables (Sec. VI-A).
  */
 std::vector<AbsorbedObservable>
 absorbObservables(const ExtractionResult &extraction,

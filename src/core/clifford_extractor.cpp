@@ -288,15 +288,13 @@ struct BlockOutput
  *
  * Thread safety: writes only @p acc (this chain's fork) and the output
  * slots of this chain's own sub-blocks — disjoint from every other
- * chain — and reads only the shared immutable inputs. @p pool_ptr is
- * non-null only when chains run sequentially (the parallel driver
- * passes null so the batch conjugations stay inline on the runner).
+ * chain — and reads only the shared immutable inputs. It runs on the
+ * calling thread throughout.
  */
 void
 extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
              const ExtractionConfig &config, uint32_t n,
-             CliffordTableau &acc, std::vector<BlockOutput> &outputs,
-             WorkerPool *pool_ptr)
+             CliffordTableau &acc, std::vector<BlockOutput> &outputs)
 {
     std::vector<PauliString> conj;      // cache, indexed by block position
     std::vector<uint32_t> order_next;   // singly-linked successor list
@@ -318,7 +316,7 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
         conj.reserve(m);
         for (size_t idx : sub.terms)
             conj.push_back(terms[idx].pauli);
-        acc.conjugateBatch(conj, pool_ptr);
+        acc.conjugateBatch(conj);
 
         // Index-list order over block positions: reordering a pick is an
         // O(1) unlink + relink instead of the old vector erase/insert
@@ -439,7 +437,7 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
             const std::span<PauliString> window =
                 std::span(lookahead).first(looked);
             if (looked > looked_cached)
-                acc.conjugateBatch(window.subspan(looked_cached), pool_ptr);
+                acc.conjugateBatch(window.subspan(looked_cached));
 
             // --- CNOT tree (Algorithm 1). ---
             QuantumCircuit tree(n);
@@ -529,15 +527,12 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
     // table: a pick costs O(m . |S|) pattern reads plus at most
     // min(m, 4^|S|) direct evaluations.
     //
-    // Two levels of parallelism share one pool. FINE (in-block): batch
-    // conjugation of block entries and of cross-block lookahead fans
-    // the terms over the workers. COARSE (cross-block): the chains from
+    // Parallelism is across chains only: the chains from
     // partitionChains() are compiled concurrently, each against its
-    // own tableau fork, and merged below. Both levels leave the output
-    // bit-identical to the sequential path — the batch writes disjoint
-    // slots, and the chains are independent by construction.
+    // own tableau fork, and merged below. The output is bit-identical
+    // to the sequential path, because the chains are independent by
+    // construction.
     WorkerPool pool(config_.threads);
-    WorkerPool *const pool_ptr = pool.threadCount() > 1 ? &pool : nullptr;
 
     const ChainPartition part = partitionChains(terms, blocks, n);
     std::vector<BlockOutput> outputs(part.subBlockCount);
@@ -557,41 +552,31 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
         std::min({ std::max<size_t>(part.chains.size(), 1), bp,
                    static_cast<size_t>(pool.threadCount()) });
 
-    if (runners <= 1) {
-        // Sequential chains keep the pool on the fine level, so a
-        // single-chain (connected) instance is the exact pre-chain
-        // code path, batch conjugation fan-out included.
-        for (size_t c = 0; c < part.chains.size(); ++c)
+    // Runners claim chains off a shared counter so long chains do not
+    // stall short ones behind a static partition. The owner thread is
+    // runner zero; the others are submitted tasks drained below, so
+    // with one runner every chain runs in order on the owner.
+    std::atomic<size_t> next{ 0 };
+    const auto runner = [&] {
+        for (;;) {
+            const size_t c = next.fetch_add(1, std::memory_order_relaxed);
+            if (c >= part.chains.size())
+                return;
             extractChain(terms, part.chains[c], config_, n, chain_accs[c],
-                         outputs, pool_ptr);
-    } else {
-        // Claim chains off a shared counter so long chains do not
-        // stall short ones behind a static partition. The runners get
-        // a null pool: the batches run inline, the coarse level
-        // owns the workers. The owner thread is runner zero; the
-        // others are submitted tasks drained below.
-        std::atomic<size_t> next{ 0 };
-        const auto runner = [&] {
-            for (;;) {
-                const size_t c = next.fetch_add(1, std::memory_order_relaxed);
-                if (c >= part.chains.size())
-                    return;
-                extractChain(terms, part.chains[c], config_, n,
-                             chain_accs[c], outputs, nullptr);
-            }
-        };
-        for (size_t r = 1; r < runners; ++r)
-            pool.submit(runner);
-        std::exception_ptr owner_error;
-        try {
-            runner();
-        } catch (...) {
-            owner_error = std::current_exception();
+                         outputs);
         }
-        pool.drainTasks(); // rethrows the first worker error, if any
-        if (owner_error)
-            std::rethrow_exception(owner_error);
+    };
+    for (size_t r = 1; r < runners; ++r)
+        pool.submit(runner);
+    std::exception_ptr owner_error;
+    try {
+        runner();
+    } catch (...) {
+        owner_error = std::current_exception();
     }
+    pool.drainTasks(); // rethrows the first worker error, if any
+    if (owner_error)
+        std::rethrow_exception(owner_error);
 
     // --- Stitch. Sub-block segments in the partition's emission order
     // rebuild U' and the rotation schedule; the vlist in the same

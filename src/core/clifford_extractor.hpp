@@ -60,9 +60,9 @@ struct ExtractionConfig
 
     /**
      * Worker threads for the parallel paths: the chain runners (see
-     * blockParallelism), batch conjugation of block entries and of
-     * cross-block lookahead when chains run one at a time, and
-     * (through QuClear) multi-observable absorption. 0 = hardware
+     * blockParallelism) and (through QuClear) multi-observable
+     * absorption. A connected instance has one chain, so its
+     * extraction runs on one thread whatever this is. 0 = hardware
      * concurrency (the default), 1 = fully sequential (no workers are
      * spawned — the exact single-threaded code path). Determinism
      * guarantee: every parallel loop writes disjoint slots and
@@ -74,9 +74,8 @@ struct ExtractionConfig
     uint32_t threads = 0;
 
     /**
-     * Maximum number of independent block chains compiled concurrently
-     * (the coarse, cross-block level of parallelism; `threads` feeds
-     * the fine, in-block level). 0 = auto (every chain in flight at
+     * Maximum number of independent block chains compiled concurrently,
+     * under the `threads` bound. 0 = auto (every chain in flight at
      * once, bounded by the pool), 1 = chains compiled sequentially,
      * N = at most N chain runners. Chains are connected components of
      * the qubit-support graph, so their extractions are independent by

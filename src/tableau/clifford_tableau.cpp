@@ -1,4 +1,4 @@
-#include "tableau/packed_tableau.hpp"
+#include "tableau/clifford_tableau.hpp"
 
 #include <algorithm>
 #include <bit>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/simd_dispatch.hpp"
-#include "util/worker_pool.hpp"
 
 namespace quclear {
 
@@ -47,7 +46,7 @@ sparseConjugateRowLimit(uint32_t num_qubits)
 
 } // namespace
 
-PackedTableau::PackedTableau(uint32_t num_qubits)
+CliffordTableau::CliffordTableau(uint32_t num_qubits)
     : numQubits_(num_qubits), words_(wordsForRows(num_qubits)),
       x_(static_cast<size_t>(num_qubits) * words_, 0),
       z_(static_cast<size_t>(num_qubits) * words_, 0),
@@ -62,10 +61,10 @@ PackedTableau::PackedTableau(uint32_t num_qubits)
     }
 }
 
-PackedTableau
-PackedTableau::fromCircuit(const QuantumCircuit &qc)
+CliffordTableau
+CliffordTableau::fromCircuit(const QuantumCircuit &qc)
 {
-    PackedTableau t(qc.numQubits());
+    CliffordTableau t(qc.numQubits());
     t.appendCircuit(qc);
     return t;
 }
@@ -77,7 +76,7 @@ PackedTableau::fromCircuit(const QuantumCircuit &qc)
 // the update itself.
 
 void
-PackedTableau::appendH(uint32_t q)
+CliffordTableau::appendH(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -90,7 +89,7 @@ PackedTableau::appendH(uint32_t q)
 }
 
 void
-PackedTableau::appendS(uint32_t q)
+CliffordTableau::appendS(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -103,7 +102,7 @@ PackedTableau::appendS(uint32_t q)
 }
 
 void
-PackedTableau::appendSdg(uint32_t q)
+CliffordTableau::appendSdg(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -116,7 +115,7 @@ PackedTableau::appendSdg(uint32_t q)
 }
 
 void
-PackedTableau::appendX(uint32_t q)
+CliffordTableau::appendX(uint32_t q)
 {
     // X anticommutes with Z and Y.
     const uint64_t *zc = &z_[q * words_];
@@ -128,7 +127,7 @@ PackedTableau::appendX(uint32_t q)
 }
 
 void
-PackedTableau::appendY(uint32_t q)
+CliffordTableau::appendY(uint32_t q)
 {
     // Y anticommutes with X and Z.
     const uint64_t *xc = &x_[q * words_];
@@ -141,7 +140,7 @@ PackedTableau::appendY(uint32_t q)
 }
 
 void
-PackedTableau::appendZ(uint32_t q)
+CliffordTableau::appendZ(uint32_t q)
 {
     // Z anticommutes with X and Y.
     const uint64_t *xc = &x_[q * words_];
@@ -153,7 +152,7 @@ PackedTableau::appendZ(uint32_t q)
 }
 
 void
-PackedTableau::appendSqrtX(uint32_t q)
+CliffordTableau::appendSqrtX(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -166,7 +165,7 @@ PackedTableau::appendSqrtX(uint32_t q)
 }
 
 void
-PackedTableau::appendSqrtXdg(uint32_t q)
+CliffordTableau::appendSqrtXdg(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
@@ -179,7 +178,7 @@ PackedTableau::appendSqrtXdg(uint32_t q)
 }
 
 void
-PackedTableau::appendCX(uint32_t control, uint32_t target)
+CliffordTableau::appendCX(uint32_t control, uint32_t target)
 {
     assert(control != target);
     uint64_t *xc = &x_[control * words_];
@@ -197,7 +196,7 @@ PackedTableau::appendCX(uint32_t control, uint32_t target)
 }
 
 void
-PackedTableau::appendCZ(uint32_t a, uint32_t b)
+CliffordTableau::appendCZ(uint32_t a, uint32_t b)
 {
     assert(a != b);
     uint64_t *xa = &x_[a * words_];
@@ -215,7 +214,7 @@ PackedTableau::appendCZ(uint32_t a, uint32_t b)
 }
 
 void
-PackedTableau::appendSwap(uint32_t a, uint32_t b)
+CliffordTableau::appendSwap(uint32_t a, uint32_t b)
 {
     assert(a != b);
     uint64_t *xa = &x_[a * words_];
@@ -233,7 +232,7 @@ PackedTableau::appendSwap(uint32_t a, uint32_t b)
 }
 
 void
-PackedTableau::appendGate(const Gate &g)
+CliffordTableau::appendGate(const Gate &g)
 {
     switch (g.type) {
       case GateType::H:    appendH(g.q0); break;
@@ -253,7 +252,7 @@ PackedTableau::appendGate(const Gate &g)
 }
 
 void
-PackedTableau::appendCircuit(const QuantumCircuit &qc)
+CliffordTableau::appendCircuit(const QuantumCircuit &qc)
 {
     assert(qc.numQubits() == numQubits_);
     for (const Gate &g : qc.gates())
@@ -261,7 +260,7 @@ PackedTableau::appendCircuit(const QuantumCircuit &qc)
 }
 
 PauliString
-PackedTableau::rowAt(uint32_t r) const
+CliffordTableau::rowAt(uint32_t r) const
 {
     assert(r < 2 * numQubits_);
     PauliString p(numQubits_);
@@ -277,7 +276,7 @@ PackedTableau::rowAt(uint32_t r) const
 }
 
 void
-PackedTableau::setRow(uint32_t r, const PauliString &p)
+CliffordTableau::setRow(uint32_t r, const PauliString &p)
 {
     assert(r < 2 * numQubits_);
     assert(p.phase() == 0 || p.phase() == 2);
@@ -300,8 +299,8 @@ PackedTableau::setRow(uint32_t r, const PauliString &p)
 }
 
 void
-PackedTableau::buildRowMask(const PauliString &p, uint64_t *mask,
-                            SupportIndex &idx) const
+CliffordTableau::buildRowMask(const PauliString &p, uint64_t *mask,
+                              SupportIndex &idx) const
 {
     // Row 2q selects the X_q image, row 2q+1 the Z_q image; interleave
     // p's x and z bits 32 qubits at a time. Only source words with any
@@ -333,7 +332,7 @@ PackedTableau::buildRowMask(const PauliString &p, uint64_t *mask,
 }
 
 PauliString
-PackedTableau::conjugate(const PauliString &p) const
+CliffordTableau::conjugate(const PauliString &p) const
 {
     assert(p.numQubits() == numQubits_);
 
@@ -429,15 +428,15 @@ PackedTableau::conjugate(const PauliString &p) const
     return result;
 }
 
-PackedTableau::RowMajor &
-PackedTableau::rowMajorScratch()
+CliffordTableau::RowMajor &
+CliffordTableau::rowMajorScratch()
 {
     thread_local RowMajor scratch;
     return scratch;
 }
 
 void
-PackedTableau::buildRowMajor(RowMajor &out) const
+CliffordTableau::buildRowMajor(RowMajor &out) const
 {
     const simd::Kernels &k = simd::active();
     const uint32_t rw = wordsForColumns(numQubits_);
@@ -498,10 +497,10 @@ PackedTableau::buildRowMajor(RowMajor &out) const
 }
 
 void
-PackedTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
-                                uint64_t *mask, SupportIndex &idx,
-                                uint64_t *kscratch, uint64_t *out_x,
-                                uint64_t *out_z) const
+CliffordTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
+                                  uint64_t *mask, SupportIndex &idx,
+                                  uint64_t *kscratch, uint64_t *out_x,
+                                  uint64_t *out_z) const
 {
     assert(p.numQubits() == numQubits_);
     buildRowMask(p, mask, idx);
@@ -541,8 +540,7 @@ PackedTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
 }
 
 void
-PackedTableau::conjugateBatch(std::span<PauliString> terms,
-                              WorkerPool *pool) const
+CliffordTableau::conjugateBatch(std::span<PauliString> terms) const
 {
     // Below this size the transpose cannot amortize (its fixed cost is
     // roughly two scalar dense conjugations), so tiny batches take the
@@ -556,35 +554,25 @@ PackedTableau::conjugateBatch(std::span<PauliString> terms,
     RowMajor &rm = rowMajorScratch();
     buildRowMajor(rm);
 
+    // Scratch: mask + kernel accumulators + result halves. The mask
+    // array is deliberately left dirty between terms — the support
+    // index tracks which words are live.
     const uint32_t rw = rm.rowWords;
     const uint32_t rw_pad = rm.rowWordsPadded;
-    const auto run = [&](size_t begin, size_t end) {
-        // Per-worker scratch: mask + kernel accumulators + result
-        // halves. The mask array is deliberately left dirty between
-        // terms — the support index tracks which words are live.
-        std::vector<uint64_t> scratch(
-            static_cast<size_t>(words_) + 3 * static_cast<size_t>(rw_pad) +
-            2 * static_cast<size_t>(rw));
-        SupportIndex idx;
-        uint64_t *mask = scratch.data();
-        uint64_t *kscratch = mask + words_;
-        uint64_t *out_x = kscratch + 3 * static_cast<size_t>(rw_pad);
-        uint64_t *out_z = out_x + rw;
-        for (size_t i = begin; i < end; ++i)
-            conjugateViaRows(rm, terms[i], mask, idx, kscratch, out_x,
-                             out_z);
-    };
-    // Below this size the per-term row walks are cheaper than a pool
-    // dispatch (and would needlessly spawn the lazy workers).
-    constexpr size_t kMinBatchForPool = 16;
-    if (pool != nullptr && terms.size() >= kMinBatchForPool)
-        pool->parallelFor(terms.size(), run);
-    else
-        run(0, terms.size());
+    std::vector<uint64_t> scratch(static_cast<size_t>(words_) +
+                                  3 * static_cast<size_t>(rw_pad) +
+                                  2 * static_cast<size_t>(rw));
+    SupportIndex idx;
+    uint64_t *mask = scratch.data();
+    uint64_t *kscratch = mask + words_;
+    uint64_t *out_x = kscratch + 3 * static_cast<size_t>(rw_pad);
+    uint64_t *out_z = out_x + rw;
+    for (PauliString &term : terms)
+        conjugateViaRows(rm, term, mask, idx, kscratch, out_x, out_z);
 }
 
 void
-PackedTableau::prependGate(const Gate &g)
+CliffordTableau::prependGate(const Gate &g)
 {
     // T'(P) = T(g P g~): only generators touching g's qubits change.
     // The conjugated generators are low weight, so the sparse conjugate
@@ -614,7 +602,7 @@ PackedTableau::prependGate(const Gate &g)
 }
 
 void
-PackedTableau::composeWith(const PackedTableau &other)
+CliffordTableau::composeWith(const CliffordTableau &other)
 {
     assert(other.numQubits_ == numQubits_);
     // Fast paths for the chain-merge pattern: composing with the
@@ -640,14 +628,14 @@ PackedTableau::composeWith(const PackedTableau &other)
         setRow(r, rows[r]);
 }
 
-PackedTableau
-PackedTableau::inverse() const
+CliffordTableau
+CliffordTableau::inverse() const
 {
     return fromCircuit(toCircuit().inverse());
 }
 
 bool
-PackedTableau::isIdentity() const
+CliffordTableau::isIdentity() const
 {
     // Allocation-free scan (the old identity-tableau comparison built
     // three full-size vectors per call): identity means all signs +,
@@ -673,20 +661,20 @@ PackedTableau::isIdentity() const
 }
 
 bool
-PackedTableau::operator==(const PackedTableau &other) const
+CliffordTableau::operator==(const CliffordTableau &other) const
 {
     return numQubits_ == other.numQubits_ && x_ == other.x_ &&
            z_ == other.z_ && signs_ == other.signs_;
 }
 
 QuantumCircuit
-PackedTableau::toCircuit() const
+CliffordTableau::toCircuit() const
 {
     // Reduce a working copy to the identity tableau while recording the
     // appended gates; the circuit is then the reversed, inverted record.
     // Mirrors the row-major reference elimination step for step, so the
     // emitted gate sequence is identical for equal tableaux.
-    PackedTableau work = *this;
+    CliffordTableau work = *this;
     std::vector<Gate> record;
 
     auto emit = [&](const Gate &g) {

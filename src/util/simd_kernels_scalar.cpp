@@ -3,7 +3,7 @@
  * Portable scalar backend of the SIMD kernel table.
  *
  * These are the reference loops: the word-level bodies were lifted
- * verbatim from the pre-dispatch PackedTableau / PauliString hot paths
+ * verbatim from the pre-dispatch CliffordTableau / PauliString hot paths
  * (see the gate comments there for the sign algebra), so rewiring the
  * engine onto the table is a pure refactor at this level. The wide
  * backends must match these bit for bit.

@@ -6,7 +6,7 @@
  * 2n generator images as heap-allocated PauliString rows, so a gate
  * append walks all 2n rows (O(n) object touches) and conjugation
  * multiplies the selected rows sequentially. The production engine is
- * the bit-sliced PackedTableau (see packed_tableau.hpp); this class
+ * the bit-sliced CliffordTableau (see clifford_tableau.hpp); this class
  * exists as the independent oracle for the randomized cross-check suite
  * (test_tableau_packed) and as the baseline the bench_micro tableau
  * microbenchmarks measure speedups against. Do not use it on hot paths.
@@ -56,7 +56,7 @@ class ReferenceTableau
     void appendCircuit(const QuantumCircuit &qc);
     /** @} */
 
-    /** Prepend a gate: U <- U . g (see PackedTableau::prependGate). */
+    /** Prepend a gate: U <- U . g (see CliffordTableau::prependGate). */
     void prependGate(const Gate &g);
 
     /** Conjugate a Pauli string: returns U P U~ with exact phase. */

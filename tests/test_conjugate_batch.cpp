@@ -7,11 +7,10 @@
  * snapshot once and multiplies each term's selected rows out of it; it
  * must stay bit-identical — phases included — to both the scalar
  * conjugate() and the row-major ReferenceTableau at qubit counts
- * straddling the 64-bit word boundaries, for every thread count. On
- * top of the kernel, the extractor's threaded paths (block-entry batch
- * conjugation, cache replay, lookahead updates, absorption) and the
- * cross-block chain pipeline (fork-per-chain tableaus merged through
- * composeWith) must produce output bit-identical to the sequential
+ * straddling the 64-bit word boundaries. On top of the kernel, the
+ * threaded paths — the cross-block chain pipeline (fork-per-chain
+ * tableaus merged through composeWith) and absorption chunked over
+ * observables — must produce output bit-identical to the sequential
  * threads = 1, blockParallelism = 1 path for every knob combination.
  */
 #include <gtest/gtest.h>
@@ -24,7 +23,6 @@
 #include "core/clifford_extractor.hpp"
 #include "support/reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
-#include "tableau/packed_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 #include "util/worker_pool.hpp"
@@ -38,7 +36,7 @@ TEST(ConjugateBatchTest, MatchesScalarAndReferenceAcrossWordBoundaries)
 {
     for (uint32_t n : kQubitCounts) {
         Rng rng(7000 + n);
-        PackedTableau packed(n);
+        CliffordTableau packed(n);
         ReferenceTableau ref(n);
         for (size_t i = 0; i < 6 * n + 30; ++i) {
             const Gate g = randomCliffordGate(n, rng);
@@ -73,7 +71,7 @@ TEST(ConjugateBatchTest, MatchesScalarAndReferenceAcrossWordBoundaries)
     }
 }
 
-TEST(ConjugateBatchTest, ThreadCountDoesNotChangeResults)
+TEST(ConjugateBatchTest, BatchMatchesPerTermConjugate)
 {
     for (uint32_t n : { 65u, 128u }) {
         Rng rng(8000 + n);
@@ -85,24 +83,17 @@ TEST(ConjugateBatchTest, ThreadCountDoesNotChangeResults)
         for (int trial = 0; trial < 41; ++trial)
             inputs.push_back(randomPhasedPauli(n, rng, trial % 2 ? 0.8 : 0.3));
 
-        std::vector<PauliString> sequential = inputs;
-        tab.conjugateBatch(sequential);
-
-        for (uint32_t threads : { 2u, 3u, 4u }) {
-            WorkerPool pool(threads);
-            std::vector<PauliString> parallel = inputs;
-            tab.conjugateBatch(parallel, &pool);
-            for (size_t i = 0; i < inputs.size(); ++i)
-                ASSERT_EQ(parallel[i], sequential[i])
-                    << "n=" << n << " threads=" << threads << " term "
-                    << i;
-        }
+        std::vector<PauliString> batch = inputs;
+        tab.conjugateBatch(batch);
+        for (size_t i = 0; i < inputs.size(); ++i)
+            ASSERT_EQ(batch[i], tab.conjugate(inputs[i]))
+                << "n=" << n << " term " << i;
     }
 }
 
 TEST(ConjugateBatchTest, EmptyAndSingletonBatches)
 {
-    PackedTableau tab(5);
+    CliffordTableau tab(5);
     tab.appendH(0);
     tab.appendCX(0, 3);
 
@@ -316,6 +307,12 @@ TEST(BlockParallelExtractionTest, SingleChainUnaffectedByKnob)
     }
 }
 
+/**
+ * Absorption runs one batch conjugation per worker chunk. The small
+ * observable counts leave some chunks below the batch kernel's
+ * transpose threshold (3 terms), so they take the per-term path; every
+ * split must still match the single-chunk threads = 1 result.
+ */
 TEST(ThreadedExtractionTest, AbsorptionThreadCountInvariant)
 {
     Rng rng(271828);
@@ -323,23 +320,34 @@ TEST(ThreadedExtractionTest, AbsorptionThreadCountInvariant)
     const auto terms = randomSupportTerms(n, 48, 0.7, rng);
     const ExtractionResult ext = CliffordExtractor().run(terms);
 
-    std::vector<PauliString> observables;
-    for (int k = 0; k < 37; ++k)
-        observables.push_back(randomPhasedPauli(n, rng, k % 2 ? 0.6 : 0.2));
-    for (PauliString &obs : observables)
-        obs.setPhase(0); // observables are Hermitian with + sign
+    for (size_t count : { 1u, 2u, 5u, 7u, 37u }) {
+        std::vector<PauliString> observables;
+        for (size_t k = 0; k < count; ++k)
+            observables.push_back(
+                randomPhasedPauli(n, rng, k % 2 ? 0.6 : 0.2));
+        for (PauliString &obs : observables)
+            obs.setPhase(0); // observables are Hermitian with + sign
 
-    const auto sequential = absorbObservables(ext, observables, 1);
-    for (uint32_t threads : { 2u, 4u }) {
-        const auto threaded = absorbObservables(ext, observables, threads);
-        ASSERT_EQ(threaded.size(), sequential.size());
-        for (size_t i = 0; i < sequential.size(); ++i) {
-            EXPECT_EQ(threaded[i].transformed, sequential[i].transformed);
-            EXPECT_EQ(threaded[i].sign, sequential[i].sign);
-            EXPECT_EQ(threaded[i].measuredQubits,
-                      sequential[i].measuredQubits);
-            expectSameCircuit(threaded[i].basisChange,
-                              sequential[i].basisChange);
+        const auto sequential = absorbObservables(ext, observables, 1);
+        ASSERT_EQ(sequential.size(), count);
+        for (size_t i = 0; i < count; ++i)
+            EXPECT_EQ(sequential[i].transformed,
+                      ext.conjugator.conjugate(observables[i]));
+        for (uint32_t threads : { 2u, 3u, 4u }) {
+            SCOPED_TRACE(::testing::Message() << "observables=" << count
+                                              << " threads=" << threads);
+            const auto threaded =
+                absorbObservables(ext, observables, threads);
+            ASSERT_EQ(threaded.size(), sequential.size());
+            for (size_t i = 0; i < sequential.size(); ++i) {
+                EXPECT_EQ(threaded[i].transformed,
+                          sequential[i].transformed);
+                EXPECT_EQ(threaded[i].sign, sequential[i].sign);
+                EXPECT_EQ(threaded[i].measuredQubits,
+                          sequential[i].measuredQubits);
+                expectSameCircuit(threaded[i].basisChange,
+                                  sequential[i].basisChange);
+            }
         }
     }
 }

@@ -20,7 +20,6 @@
 #include "pauli/pauli_term.hpp"
 #include "support/reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
-#include "tableau/packed_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -81,7 +80,7 @@ TEST(ScaleExtractionTest, PackedAndReferenceAgreeOnExtractionTail)
     // Replaying the extracted tail on both engines at full width must
     // stay row-identical — the end-to-end version of the unit-level
     // cross-check in test_tableau_packed.
-    PackedTableau packed(n);
+    CliffordTableau packed(n);
     ReferenceTableau ref(n);
     for (const Gate &g : result.extractedClifford.gates()) {
         packed.appendGate(g);
@@ -132,9 +131,8 @@ TEST(ScaleExtractionTest, CommutingBlockReorderKeepsRotationCount)
 TEST(ScaleExtractionTest, ThreadedPathBitIdenticalAt128Qubits)
 {
     // The nightly threaded-scale check: the full 128-qubit extraction
-    // through the worker pool (batch block entry, parallel cache
-    // replay, threaded lookahead) must emit exactly the sequential
-    // output, and the compiled program must still invert cleanly.
+    // at threads = 4 must emit exactly the sequential output, and the
+    // compiled program must still invert cleanly.
     Rng rng(77777);
     const uint32_t n = 128;
     const auto terms = randomSupportTerms(n, 96, 0.8, rng);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Randomized cross-check of the bit-sliced PackedTableau against the
+ * Randomized cross-check of the bit-sliced CliffordTableau against the
  * row-major ReferenceTableau (the preserved seed implementation).
  *
  * The two engines are driven gate by gate with identical streams at
@@ -13,7 +13,6 @@
 
 #include "support/reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
-#include "tableau/packed_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
 
@@ -24,7 +23,7 @@ constexpr uint32_t kQubitCounts[] = { 1, 63, 64, 65, 128, 256 };
 
 /** Every row image must match, signs included. */
 void
-expectEqualTableaux(const PackedTableau &packed,
+expectEqualTableaux(const CliffordTableau &packed,
                     const ReferenceTableau &ref)
 {
     ASSERT_EQ(packed.numQubits(), ref.numQubits());
@@ -34,11 +33,11 @@ expectEqualTableaux(const PackedTableau &packed,
     }
 }
 
-TEST(PackedTableauCrossCheck, GateByGateAppends)
+TEST(CliffordTableauCrossCheck, GateByGateAppends)
 {
     for (uint32_t n : kQubitCounts) {
         Rng rng(1000 + n);
-        PackedTableau packed(n);
+        CliffordTableau packed(n);
         ReferenceTableau ref(n);
         expectEqualTableaux(packed, ref);
         const size_t gates = n <= 64 ? 400 : 150;
@@ -53,11 +52,11 @@ TEST(PackedTableauCrossCheck, GateByGateAppends)
     }
 }
 
-TEST(PackedTableauCrossCheck, ConjugatePhasesBitIdentical)
+TEST(CliffordTableauCrossCheck, ConjugatePhasesBitIdentical)
 {
     for (uint32_t n : kQubitCounts) {
         Rng rng(2000 + n);
-        PackedTableau packed(n);
+        CliffordTableau packed(n);
         ReferenceTableau ref(n);
         for (size_t i = 0; i < 6 * n + 20; ++i) {
             const Gate g = randomCliffordGate(n, rng);
@@ -82,11 +81,11 @@ TEST(PackedTableauCrossCheck, ConjugatePhasesBitIdentical)
     }
 }
 
-TEST(PackedTableauCrossCheck, PrependMatchesReference)
+TEST(CliffordTableauCrossCheck, PrependMatchesReference)
 {
     for (uint32_t n : kQubitCounts) {
         Rng rng(3000 + n);
-        PackedTableau packed(n);
+        CliffordTableau packed(n);
         ReferenceTableau ref(n);
         for (int i = 0; i < 120; ++i) {
             const Gate g = randomCliffordGate(n, rng);
@@ -102,11 +101,11 @@ TEST(PackedTableauCrossCheck, PrependMatchesReference)
     }
 }
 
-TEST(PackedTableauCrossCheck, ComposeMatchesReference)
+TEST(CliffordTableauCrossCheck, ComposeMatchesReference)
 {
     for (uint32_t n : kQubitCounts) {
         Rng rng(4000 + n);
-        PackedTableau pa(n), pb(n);
+        CliffordTableau pa(n), pb(n);
         ReferenceTableau ra(n), rb(n);
         for (int i = 0; i < 80; ++i) {
             const Gate g = randomCliffordGate(n, rng);
@@ -122,13 +121,13 @@ TEST(PackedTableauCrossCheck, ComposeMatchesReference)
     }
 }
 
-TEST(PackedTableauCrossCheck, ToCircuitRoundTripAndInverse)
+TEST(CliffordTableauCrossCheck, ToCircuitRoundTripAndInverse)
 {
     for (uint32_t n : kQubitCounts) {
         if (n > 128)
             continue; // synthesis is O(n^2) gates; 256 is covered above
         Rng rng(5000 + n);
-        PackedTableau packed(n);
+        CliffordTableau packed(n);
         ReferenceTableau ref(n);
         for (size_t i = 0; i < 4 * n + 10; ++i) {
             const Gate g = randomCliffordGate(n, rng);
@@ -145,48 +144,49 @@ TEST(PackedTableauCrossCheck, ToCircuitRoundTripAndInverse)
             ASSERT_EQ(pc.gate(i).q1, rc.gate(i).q1);
         }
         // Round trip: replaying the synthesis reproduces the tableau.
-        ASSERT_EQ(PackedTableau::fromCircuit(pc), packed);
+        ASSERT_EQ(CliffordTableau::fromCircuit(pc), packed);
         // Inverse composes to the identity.
-        PackedTableau inv = packed.inverse();
+        CliffordTableau inv = packed.inverse();
         inv.composeWith(packed);
         ASSERT_TRUE(inv.isIdentity()) << "n=" << n;
     }
 }
 
-TEST(PackedTableauCrossCheck, FacadeDelegatesToPackedEngine)
+TEST(CliffordTableauCrossCheck, FromCircuitMatchesGateByGateAppends)
 {
     Rng rng(77);
     const uint32_t n = 65;
-    CliffordTableau facade(n);
-    PackedTableau packed(n);
+    QuantumCircuit qc(n);
+    CliffordTableau appended(n);
     for (int i = 0; i < 100; ++i) {
         const Gate g = randomCliffordGate(n, rng);
-        facade.appendGate(g);
-        packed.appendGate(g);
+        qc.append(g);
+        appended.appendGate(g);
     }
-    EXPECT_EQ(facade.packed(), packed);
+    const CliffordTableau built = CliffordTableau::fromCircuit(qc);
+    EXPECT_EQ(built, appended);
     const PauliString p = randomPhasedPauli(n, rng);
-    EXPECT_EQ(facade.conjugate(p), packed.conjugate(p));
-    EXPECT_EQ(facade.imageX(7), packed.imageX(7));
-    EXPECT_EQ(facade.imageZ(64), packed.imageZ(64));
+    EXPECT_EQ(built.conjugate(p), appended.conjugate(p));
+    EXPECT_EQ(built.imageX(7), appended.imageX(7));
+    EXPECT_EQ(built.imageZ(64), appended.imageZ(64));
 }
 
-TEST(PackedTableauCrossCheck, WordBoundaryColumnsStayClean)
+TEST(CliffordTableauCrossCheck, WordBoundaryColumnsStayClean)
 {
     // Appends at qubits 63/64/65 exercise the row-word seams; the
     // trailing bits past row 2n must never leak into comparisons.
     for (uint32_t n : { 63u, 64u, 65u }) {
-        PackedTableau t(n);
+        CliffordTableau t(n);
         for (uint32_t q = 0; q + 1 < n; ++q)
             t.appendCX(q, q + 1);
         for (uint32_t q = 0; q < n; ++q) {
             t.appendH(q);
             t.appendS(q);
         }
-        PackedTableau u(n);
+        CliffordTableau u(n);
         ASSERT_NE(t, u);
         const QuantumCircuit qc = t.toCircuit();
-        ASSERT_EQ(PackedTableau::fromCircuit(qc), t);
+        ASSERT_EQ(CliffordTableau::fromCircuit(qc), t);
     }
 }
 

@@ -73,8 +73,8 @@ printUsage()
         "  --observables STR  comma-separated Pauli labels to absorb\n"
         "  --qaoa             probability-mode absorption (Prop. 1)\n"
         "  --no-local-opt     skip the local-rewrite pipeline\n"
-        "  --threads N        one-shot: worker threads for the batched/\n"
-        "                     parallel compilation paths; serve mode:\n"
+        "  --threads N        one-shot: worker threads for independent\n"
+        "                     block chains and observables; serve mode:\n"
         "                     concurrent jobs (0 = hardware concurrency,\n"
         "                     1 = sequential; compiled output is\n"
         "                     identical for every value)\n"
