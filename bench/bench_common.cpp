@@ -5,7 +5,6 @@
 #include <fstream>
 #include <string>
 
-#include "util/simd_dispatch.hpp"
 
 namespace quclear::bench {
 
@@ -202,15 +201,6 @@ BenchReport::BenchReport(const std::string &harness,
     // columns when comparing artifacts across machines.
     doc_["config"]["threads"] = envThreads();
     doc_["config"]["block_parallelism"] = envBlockParallelism();
-    // Resolved SIMD dispatch state (QUCLEAR_SIMD / CPUID): output-
-    // invariant by the bit-identical backend contract, but timings are
-    // only comparable across artifacts at the same level, and the host
-    // feature list makes a level mismatch diagnosable.
-    doc_["config"]["simd_level"] =
-        std::string(simd::levelName(simd::activeLevel()));
-    doc_["config"]["simd_override"] =
-        std::string(simd::configuredOverride());
-    doc_["config"]["cpu_features"] = simd::cpuFeatureString();
     doc_["rows"] = JsonValue::array();
     doc_["summary"] = JsonValue::object();
 }

@@ -25,7 +25,6 @@
 #include "bench_common.hpp"
 #include "core/quclear.hpp"
 #include "sim/noise_model.hpp"
-#include "util/simd_dispatch.hpp"
 #include "util/table_printer.hpp"
 #include "util/timer.hpp"
 #include "util/worker_pool.hpp"
@@ -91,7 +90,6 @@ runMcSamplerStage(quclear::bench::BenchReport &report,
     mc["shots"] = shots;
     mc["shot_block"] = options.shotBlock;
     mc["threads"] = resolved;
-    mc["simd_level"] = simd::levelName(simd::activeLevel());
     mc["expectation"] = batched.expectation;
     mc["error_events"] = batched.errorEvents;
     mc["shots_per_sec_1t"] = scalar_rate;
@@ -103,10 +101,9 @@ runMcSamplerStage(quclear::bench::BenchReport &report,
     mc["bit_identical"] = identical;
 
     std::printf("MC sampler on %s tail (%zu gates, %zu shots): "
-                "%.0f shots/s @1t, %.0f shots/s @%ut (%s, x%.2f, %s)\n",
+                "%.0f shots/s @1t, %.0f shots/s @%ut (x%.2f, %s)\n",
                 target.c_str(), tail.size(), shots, scalar_rate,
                 batched_rate, resolved,
-                simd::levelName(simd::activeLevel()),
                 scalar_seconds > 0.0 && batched_seconds > 0.0
                     ? scalar_seconds / batched_seconds
                     : 0.0,

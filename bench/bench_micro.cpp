@@ -40,7 +40,6 @@
 #include "transpile/depth_scheduling.hpp"
 #include "transpile/phase_rotation_folding.hpp"
 #include "util/rng.hpp"
-#include "util/simd_dispatch.hpp"
 
 namespace {
 
@@ -592,169 +591,6 @@ BM_StatevectorGate(benchmark::State &state)
 }
 BENCHMARK(BM_StatevectorGate)->Arg(10)->Arg(14);
 
-/**
- * @name Per-dispatch-level tableau kernels.
- *
- * The same four engine paths the tentpole SIMD backends accelerate —
- * gate appends, lone dense conjugation, batched conjugation, and
- * tableau composition — re-run with the kernel table pinned to every
- * level this host supports (scalar always; avx2 when compiled in and
- * CPUID-approved), so BENCH_tableau.json records the measured
- * gain per level on one machine. Registration happens at runtime in
- * main() because the supported set is a host property. Outputs are
- * bit-identical across levels; only the wall clock may move. The
- * Sparse variant conjugates fixed-weight terms through a scrambled
- * 1024-qubit tableau, where the hierarchical mask index lets the row
- * walk skip empty words — compare against the dense-input Batch series
- * at the same shape for the sparse-vs-dense crossover.
- * @{
- */
-
-void
-simdTableauAppendCx(benchmark::State &state, simd::Level lvl)
-{
-    if (!simd::forceLevel(lvl)) {
-        state.SkipWithError("dispatch level unsupported on this host");
-        return;
-    }
-    tableauAppendCx<CliffordTableau>(state);
-    simd::resetLevel();
-}
-
-void
-simdTableauConjugate(benchmark::State &state, simd::Level lvl)
-{
-    if (!simd::forceLevel(lvl)) {
-        state.SkipWithError("dispatch level unsupported on this host");
-        return;
-    }
-    tableauConjugate<CliffordTableau>(state);
-    simd::resetLevel();
-}
-
-void
-simdTableauConjugateBatch(benchmark::State &state, simd::Level lvl)
-{
-    if (!simd::forceLevel(lvl)) {
-        state.SkipWithError("dispatch level unsupported on this host");
-        return;
-    }
-    BM_CliffordTableauConjugateBatch(state);
-    simd::resetLevel();
-}
-
-void
-simdTableauConjugateBatchSparse(benchmark::State &state, simd::Level lvl)
-{
-    if (!simd::forceLevel(lvl)) {
-        state.SkipWithError("dispatch level unsupported on this host");
-        return;
-    }
-    const uint32_t n = static_cast<uint32_t>(state.range(0));
-    const size_t batch = static_cast<size_t>(state.range(1));
-    const auto weight = static_cast<uint32_t>(state.range(2));
-    Rng rng(12);
-    CliffordTableau t(n);
-    scrambleTableau(t, n, 12);
-    std::vector<PauliString> inputs;
-    for (size_t i = 0; i < batch; ++i) {
-        PauliString p(n);
-        for (uint32_t k = 0; k < weight; ++k)
-            p.setOp(static_cast<uint32_t>(rng.uniformInt(n)),
-                    static_cast<PauliOp>(1 + rng.uniformInt(3)));
-        inputs.push_back(std::move(p));
-    }
-    std::vector<PauliString> work = inputs;
-    for (auto _ : state) {
-        for (size_t i = 0; i < batch; ++i)
-            work[i] = inputs[i];
-        t.conjugateBatch(work);
-        benchmark::DoNotOptimize(work.data());
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(batch));
-    simd::resetLevel();
-}
-
-void
-simdTableauCompose(benchmark::State &state, simd::Level lvl)
-{
-    if (!simd::forceLevel(lvl)) {
-        state.SkipWithError("dispatch level unsupported on this host");
-        return;
-    }
-    const uint32_t n = static_cast<uint32_t>(state.range(0));
-    CliffordTableau a(n), b(n);
-    scrambleTableau(a, n, 13);
-    scrambleTableau(b, n, 14);
-    for (auto _ : state) {
-        CliffordTableau c = a;
-        c.composeWith(b);
-        benchmark::DoNotOptimize(&c);
-    }
-    state.SetItemsProcessed(state.iterations());
-    simd::resetLevel();
-}
-
-/** Register the per-level series for every level this host supports. */
-void
-registerSimdTableauBenchmarks()
-{
-    for (simd::Level lvl : { simd::Level::Scalar, simd::Level::Avx2 }) {
-        if (!simd::levelSupported(lvl))
-            continue;
-        const std::string tag = simd::levelName(lvl);
-        benchmark::RegisterBenchmark(
-            ("BM_SimdTableauAppendCx/" + tag).c_str(),
-            simdTableauAppendCx, lvl)
-            ->Arg(128)
-            ->Arg(1024);
-        benchmark::RegisterBenchmark(
-            ("BM_SimdTableauConjugate/" + tag).c_str(),
-            simdTableauConjugate, lvl)
-            ->Arg(128)
-            ->Arg(1024);
-        benchmark::RegisterBenchmark(
-            ("BM_SimdTableauConjugateBatch/" + tag).c_str(),
-            simdTableauConjugateBatch, lvl)
-            ->Args({ 128, 64 })
-            ->Args({ 1024, 64 });
-        benchmark::RegisterBenchmark(
-            ("BM_SimdTableauConjugateBatchSparse/" + tag).c_str(),
-            simdTableauConjugateBatchSparse, lvl)
-            ->Args({ 1024, 64, 8 });
-        benchmark::RegisterBenchmark(
-            ("BM_SimdTableauCompose/" + tag).c_str(), simdTableauCompose,
-            lvl)
-            ->Arg(128)
-            ->Arg(1024);
-    }
-}
-
-/** @} */
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    registerSimdTableauBenchmarks();
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    // Resolved dispatch state in every artifact's context block, so a
-    // recorded BENCH_*.json is attributable to the exact kernel level
-    // and host capability it ran with.
-    benchmark::AddCustomContext("quclear_simd_level",
-                                simd::levelName(simd::activeLevel()));
-    benchmark::AddCustomContext("quclear_simd_override",
-                                simd::configuredOverride());
-    benchmark::AddCustomContext(
-        "quclear_simd_best_supported",
-        simd::levelName(simd::bestSupportedLevel()));
-    benchmark::AddCustomContext("quclear_cpu_features",
-                                simd::cpuFeatureString());
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

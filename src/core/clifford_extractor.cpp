@@ -145,8 +145,20 @@ struct SubBlock
     size_t slot = 0;
 };
 
-/** A chain: its sub-blocks in ascending global block order. */
-using Chain = std::vector<SubBlock>;
+/**
+ * A chain: its qubit component and its sub-blocks in ascending global
+ * block order. The chain compiles in its own frame, where local qubit i
+ * is global qubit qubits[i]; the relabel keeps qubit order, so every
+ * tie the block loop breaks by qubit index breaks as in the global
+ * frame.
+ */
+struct Chain
+{
+    /** Global qubit indices of the component, ascending. */
+    std::vector<uint32_t> qubits;
+
+    std::vector<SubBlock> subBlocks;
+};
 
 /**
  * The chain decomposition of a block list, plus the emission plan that
@@ -177,7 +189,7 @@ struct ChainPartition
  * (conjugated) support, which stays inside the term's component, so a
  * chain's accumulated Clifford is identity outside its qubit set:
  * chains commute, conjugate each other's terms trivially, and compile
- * independently against fresh tableau forks.
+ * independently, each on a tableau over its own qubits only.
  *
  * Identity terms have no support and no component; each rides with the
  * sub-block of the nearest preceding non-identity term of its block
@@ -230,15 +242,15 @@ partitionChains(const std::vector<PauliTerm> &terms,
                 part.chains.emplace_back();
             }
             const size_t c = chain_of[root];
+            std::vector<SubBlock> &subs = part.chains[c].subBlocks;
             SubBlock *sub = nullptr;
             for (const auto &[sc, sp] : block_subs)
                 if (sc == c)
-                    sub = &part.chains[c][sp];
+                    sub = &subs[sp];
             if (sub == nullptr) {
-                block_subs.emplace_back(c, part.chains[c].size());
-                part.chains[c].push_back(
-                    SubBlock{ b, {}, part.subBlockCount });
-                sub = &part.chains[c].back();
+                block_subs.emplace_back(c, subs.size());
+                subs.push_back(SubBlock{ b, {}, part.subBlockCount });
+                sub = &subs.back();
                 part.stitch[b].push_back(part.subBlockCount);
                 ++part.subBlockCount;
             }
@@ -253,6 +265,12 @@ partitionChains(const std::vector<PauliTerm> &terms,
         }
         // A block of only identity terms emits nothing: drop it.
     }
+    // Untouched qubits are their own roots and own no chain.
+    for (uint32_t q = 0; q < n; ++q) {
+        const size_t c = chain_of[uf.find(q)];
+        if (c != static_cast<size_t>(-1))
+            part.chains[c].qubits.push_back(q);
+    }
     return part;
 }
 
@@ -260,24 +278,50 @@ partitionChains(const std::vector<PauliTerm> &terms,
  * Everything one sub-block contributes to the final result, written to
  * its own slot so concurrent chains never share a write target. The
  * gates member holds the whole U' segment (basis layers, CNOT trees,
- * and Rz rotations in emission order).
+ * and Rz rotations in emission order). Circuits are in the chain's
+ * frame; the stitch maps them back through @c frame.
  */
 struct BlockOutput
 {
+    const std::vector<uint32_t> *frame = nullptr;
     QuantumCircuit gates;
     std::vector<size_t> rotationTerms;
     std::vector<QuantumCircuit> vlist;
 };
 
+/** @p p restricted to the chain frame whose local qubit i is qubits[i]. */
+PauliString
+toFrame(const PauliString &p, const std::vector<uint32_t> &qubits)
+{
+    PauliString local(static_cast<uint32_t>(qubits.size()));
+    uint32_t i = 0;
+    p.forEachSupport([&](uint32_t q, PauliOp op) {
+        while (qubits[i] != q)
+            ++i;
+        local.setOp(i, op);
+    });
+    local.setPhase(p.phase());
+    return local;
+}
+
+/** @p gate moved from the chain frame of @p qubits to the global one. */
+Gate
+fromFrame(Gate gate, const std::vector<uint32_t> &qubits)
+{
+    gate.q0 = qubits[gate.q0];
+    gate.q1 = qubits[gate.q1];
+    return gate;
+}
+
 /**
- * Compile one chain against its own tableau fork: the conjugation
- * cache, find_next_pauli reorder, basis layer, lookahead, CNOT tree,
- * and rotation emission, over the chain's sub-blocks. The cross-block
- * lookahead source is the chain's own later sub-blocks. Lookahead
- * never crosses a chain boundary in ANY mode (a cross-chain term would
- * make tree scores depend on the other chains' in-flight state); for a
- * connected instance there is exactly one chain and the restriction is
- * vacuous.
+ * Compile one chain in its own frame, against a tableau over its own
+ * qubits: the conjugation cache, find_next_pauli reorder, basis layer,
+ * lookahead, CNOT tree, and rotation emission, over the chain's
+ * sub-blocks. The cross-block lookahead source is the chain's own later
+ * sub-blocks. Lookahead never crosses a chain boundary in ANY mode (a
+ * cross-chain term would make tree scores depend on the other chains'
+ * in-flight state); for a connected instance there is exactly one
+ * chain and the restriction is vacuous.
  *
  * Every per-pick step acts on the current Pauli's support S only: the
  * cost model's hypothetical extraction, the basis layer and the CNOT
@@ -286,16 +330,24 @@ struct BlockOutput
  * sign set by P_S alone. The pick loop therefore memoizes f and C per
  * pattern of P on S and computes each pattern once (PatternMemo).
  *
- * Thread safety: writes only @p acc (this chain's fork) and the output
- * slots of this chain's own sub-blocks — disjoint from every other
- * chain — and reads only the shared immutable inputs. It runs on the
- * calling thread throughout.
+ * Thread safety: writes only the output slots of this chain's own
+ * sub-blocks — disjoint from every other chain — and reads only the
+ * shared immutable inputs. It runs on the calling thread throughout.
  */
 void
 extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
-             const ExtractionConfig &config, uint32_t n,
-             CliffordTableau &acc, std::vector<BlockOutput> &outputs)
+             const ExtractionConfig &config,
+             std::vector<BlockOutput> &outputs)
 {
+    const auto k = static_cast<uint32_t>(chain.qubits.size());
+    CliffordTableau acc(k);
+
+    // The chain's terms in its frame, sub-block by sub-block.
+    std::vector<std::vector<PauliString>> local(chain.subBlocks.size());
+    for (size_t ci = 0; ci < chain.subBlocks.size(); ++ci)
+        for (size_t idx : chain.subBlocks[ci].terms)
+            local[ci].push_back(toFrame(terms[idx].pauli, chain.qubits));
+
     std::vector<PauliString> conj;      // cache, indexed by block position
     std::vector<uint32_t> order_next;   // singly-linked successor list
     std::vector<uint32_t> support;      // reusable support scratch
@@ -306,16 +358,14 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
     PatternMemo<uint32_t> cost_memo;    // f(P_S) of the current pick
     PatternMemo<PatternImage> replay_memo; // C(P_S) of the current burst
 
-    for (size_t ci = 0; ci < chain.size(); ++ci) {
-        const SubBlock &sub = chain[ci];
+    for (size_t ci = 0; ci < chain.subBlocks.size(); ++ci) {
+        const SubBlock &sub = chain.subBlocks[ci];
         const auto m = static_cast<uint32_t>(sub.terms.size());
         BlockOutput &out = outputs[sub.slot];
-        out.gates = QuantumCircuit(n);
+        out.frame = &chain.qubits;
+        out.gates = QuantumCircuit(k);
 
-        conj.clear();
-        conj.reserve(m);
-        for (size_t idx : sub.terms)
-            conj.push_back(terms[idx].pauli);
+        conj = local[ci];
         acc.conjugateBatch(conj);
 
         // Index-list order over block positions: reordering a pick is an
@@ -384,7 +434,7 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
             }
 
             // --- Single-qubit basis layer (fixed by the Pauli string). ---
-            QuantumCircuit vj(n);
+            QuantumCircuit vj(k);
             for (const uint32_t q : support) {
                 switch (curr.op(q)) {
                   case PauliOp::X:
@@ -426,12 +476,12 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
             }
             const size_t looked_cached = looked;
             for (size_t cb = ci + 1;
-                 cb < chain.size() && looked < config.tree.maxLookahead;
+                 cb < local.size() && looked < config.tree.maxLookahead;
                  ++cb) {
-                for (size_t idx : chain[cb].terms) {
+                for (const PauliString &p : local[cb]) {
                     if (looked >= config.tree.maxLookahead)
                         break;
-                    look(terms[idx].pauli);
+                    look(p);
                 }
             }
             const std::span<PauliString> window =
@@ -440,7 +490,7 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
                 acc.conjugateBatch(window.subspan(looked_cached));
 
             // --- CNOT tree (Algorithm 1). ---
-            QuantumCircuit tree(n);
+            QuantumCircuit tree(k);
             TreeSynthesizer synth(acc, tree, window, config.tree);
             const uint32_t root = synth.synthesize(support);
             out.gates.appendCircuit(tree);
@@ -453,28 +503,33 @@ extractChain(const std::vector<PauliTerm> &terms, const Chain &chain,
             // is; the rest look their pattern up, and a miss (or a
             // support too wide to key) conjugates the entry gate by gate
             // and records what that did to the pattern. ---
+            const auto replay = [&vj](PauliString &entry) {
+                for (const Gate &g : vj.gates())
+                    applyGateToPauli(entry, g);
+            };
             if (keyed)
                 replay_memo.reset(support.size(), left);
             for (uint32_t j = pos; j != m; j = order_next[j]) {
                 PauliString &entry = conj[j];
-                const uint64_t key = keyed ? pattern.key(entry) : 0;
-                if (keyed && key == 0)
+                if (!keyed) {
+                    replay(entry);
+                    continue;
+                }
+                const uint64_t key = pattern.key(entry);
+                if (key == 0)
                     continue;
                 bool found = false;
-                PatternImage *image =
-                    keyed ? &replay_memo.slot(key, found) : nullptr;
+                PatternImage &image = replay_memo.slot(key, found);
                 if (found) {
-                    pattern.flip(entry, image->flip);
+                    pattern.flip(entry, image.flip);
                     entry.setPhase(
-                        static_cast<uint8_t>(entry.phase() + image->phase));
+                        static_cast<uint8_t>(entry.phase() + image.phase));
                     continue;
                 }
                 const uint8_t phase = entry.phase();
-                for (const Gate &g : vj.gates())
-                    applyGateToPauli(entry, g);
-                if (image != nullptr)
-                    *image = { key ^ pattern.key(entry),
-                               static_cast<uint8_t>(entry.phase() - phase) };
+                replay(entry);
+                image = { key ^ pattern.key(entry),
+                          static_cast<uint8_t>(entry.phase() - phase) };
             }
 
             // --- Rotation on the parity root. ---
@@ -528,18 +583,14 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
     // min(m, 4^|S|) direct evaluations.
     //
     // Parallelism is across chains only: the chains from
-    // partitionChains() are compiled concurrently, each against its
-    // own tableau fork, and merged below. The output is bit-identical
-    // to the sequential path, because the chains are independent by
+    // partitionChains() are compiled concurrently, each in its own
+    // qubit frame, and stitched below. The output is bit-identical to
+    // the sequential path, because the chains are independent by
     // construction.
     WorkerPool pool(config_.threads);
 
     const ChainPartition part = partitionChains(terms, blocks, n);
     std::vector<BlockOutput> outputs(part.subBlockCount);
-    std::vector<CliffordTableau> chain_accs;
-    chain_accs.reserve(part.chains.size());
-    for (size_t c = 0; c < part.chains.size(); ++c)
-        chain_accs.emplace_back(n);
 
     // Chain runners: blockParallelism = 0 means every chain in flight
     // at once (auto), 1 means strictly sequential, N caps the runners.
@@ -562,8 +613,7 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
             const size_t c = next.fetch_add(1, std::memory_order_relaxed);
             if (c >= part.chains.size())
                 return;
-            extractChain(terms, part.chains[c], config_, n, chain_accs[c],
-                         outputs);
+            extractChain(terms, part.chains[c], config_, outputs);
         }
     };
     for (size_t r = 1; r < runners; ++r)
@@ -578,45 +628,51 @@ CliffordExtractor::run(const std::vector<PauliTerm> &terms) const
     if (owner_error)
         std::rethrow_exception(owner_error);
 
-    // --- Stitch. Sub-block segments in the partition's emission order
-    // rebuild U' and the rotation schedule; the vlist in the same
-    // order rebuilds the tail. The merge is the same code for every
-    // runner count, so bit-identity across the knobs reduces to
-    // extractChain being deterministic on its own inputs — which it
-    // is, being the sequential block loop. Exactness: segments of
-    // distinct chains act on disjoint qubits and rotations within a
-    // block commute, so any fixed interleaving compiles the same
-    // unitary; this one is fixed by the input alone. ---
+    // --- Stitch. Sub-block segments in the partition's emission order,
+    // mapped back from their chain frames, rebuild U' and the rotation
+    // schedule; the vlist in the same order rebuilds the tail and the
+    // conjugator. The merge is the same code for every runner count,
+    // so bit-identity across the knobs reduces to extractChain being
+    // deterministic on its own inputs — which it is, being the
+    // sequential block loop. Exactness: segments of distinct chains act
+    // on disjoint qubits and rotations within a block commute, so any
+    // fixed interleaving compiles the same unitary; this one is fixed
+    // by the input alone. ---
     QuantumCircuit opt(n);
     std::vector<size_t> rotation_terms;
-    std::vector<const QuantumCircuit *> vlist;
+    // Each V with the frame it was emitted in.
+    std::vector<std::pair<const QuantumCircuit *,
+                          const std::vector<uint32_t> *>>
+        vlist;
     for (size_t b = 0; b < blocks.size(); ++b) {
         for (const size_t slot : part.stitch[b]) {
             const BlockOutput &out = outputs[slot];
-            opt.appendCircuit(out.gates);
+            for (const Gate &g : out.gates.gates())
+                opt.append(fromFrame(g, *out.frame));
             rotation_terms.insert(rotation_terms.end(),
                                   out.rotationTerms.begin(),
                                   out.rotationTerms.end());
             for (const QuantumCircuit &v : out.vlist)
-                vlist.push_back(&v);
+                vlist.emplace_back(&v, out.frame);
         }
     }
 
     // --- Assemble the Clifford tail: U_CL = V_1~ ... V_m~, i.e. the
-    // inverses in reverse extraction order (time order: last V first). ---
+    // inverses in reverse extraction order (time order: last V first),
+    // and the conjugator E = V_m ... V_1 by appending each V in
+    // extraction order. The tableau representation is canonical (rows
+    // are the generator images with exact signs), so it does not
+    // depend on how the chains' commuting V's interleave. ---
     QuantumCircuit tail(n);
-    for (size_t j = vlist.size(); j-- > 0;)
-        tail.appendCircuit(vlist[j]->inverse());
-
-    // --- Merge the tableau forks. Chain Cliffords act on disjoint
-    // qubits, so they commute and their product in ascending chain
-    // order equals the accumulation along the emission order as a
-    // unitary; the tableau representation is canonical (rows are the
-    // generator images with exact signs), so the storage is bitwise
-    // equal too. ---
+    for (size_t j = vlist.size(); j-- > 0;) {
+        const QuantumCircuit inverse = vlist[j].first->inverse();
+        for (const Gate &g : inverse.gates())
+            tail.append(fromFrame(g, *vlist[j].second));
+    }
     CliffordTableau conjugator(n);
-    for (const CliffordTableau &chain_acc : chain_accs)
-        conjugator.composeWith(chain_acc);
+    for (const auto &[v, frame] : vlist)
+        for (const Gate &g : v->gates())
+            conjugator.appendGate(fromFrame(g, *frame));
 
     return ExtractionResult{ std::move(opt), std::move(tail),
                              std::move(conjugator),

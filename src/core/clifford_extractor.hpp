@@ -15,13 +15,15 @@
  * two components (disjoint-support terms always commute) is sliced
  * into per-component sub-blocks. Every gate a term's extraction emits
  * acts only inside its component, so chains touch disjoint qubit sets,
- * their reduction Cliffords commute, and each chain compiles against
- * its own fresh tableau fork. The forks are merged with composeWith
- * and the sub-block circuit segments are stitched back along a fixed
- * input-derived emission order, so the output is bit-identical for
- * every thread count and chain-runner count (the tableau storage is
- * canonical — equal unitaries have equal bits). A connected instance
- * is one chain and takes the exact pre-existing code path.
+ * their reduction Cliffords commute, and each chain compiles in its own
+ * compact frame: a k-qubit tableau over the k qubits of its component,
+ * relabelled in ascending order so every tie breaks as in the global
+ * frame. The sub-block circuit segments are mapped back and stitched
+ * along a fixed input-derived emission order, and the conjugator is
+ * built by appending the stitched reduction Cliffords in that order,
+ * so the output is bit-identical for every thread count and
+ * chain-runner count (the tableau storage is canonical — equal
+ * unitaries have equal bits). A connected instance is one chain.
  */
 #ifndef QUCLEAR_CORE_CLIFFORD_EXTRACTOR_HPP
 #define QUCLEAR_CORE_CLIFFORD_EXTRACTOR_HPP

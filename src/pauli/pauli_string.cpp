@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "util/simd_dispatch.hpp"
-
 namespace quclear {
 
 PauliString::PauliString(uint32_t num_qubits)
@@ -138,17 +136,13 @@ PauliString::commutesWith(const PauliString &other) const
 {
     assert(numQubits_ == other.numQubits_);
     // Symplectic inner product: sum over qubits of x1.z2 + z1.x2 (mod 2).
-    // Single-word strings stay inline — the indirect kernel call costs
-    // more than the two popcounts it replaces at n <= 64.
-    if (x_.size() == 1) {
-        const uint64_t acc =
-            static_cast<uint64_t>(std::popcount(x_[0] & other.z_[0])) ^
-            static_cast<uint64_t>(std::popcount(z_[0] & other.x_[0]));
-        return (acc & 1) == 0;
-    }
-    return simd::active().anticommuteParity(
-               x_.data(), z_.data(), other.x_.data(), other.z_.data(),
-               static_cast<uint32_t>(x_.size())) == 0;
+    // Parities fold across words because popcount(a) + popcount(b) ==
+    // popcount(a ^ b) (mod 2).
+    uint64_t acc = 0;
+    for (size_t w = 0; w < x_.size(); ++w)
+        acc ^= static_cast<uint64_t>(std::popcount(x_[w] & other.z_[w])) ^
+               static_cast<uint64_t>(std::popcount(z_[w] & other.x_[w]));
+    return (acc & 1) == 0;
 }
 
 bool
@@ -177,11 +171,10 @@ PauliString::mulRight(const PauliString &rhs)
     // sigma(x1,z1).sigma(x2,z2) is +1 for (X,Y),(Y,Z),(Z,X) and -1 for
     // the reversed orders (0 otherwise). Encoding the +-1 tallies as two
     // popcounts keeps the loop branch-free across 64 qubits at a time.
-    // Single-word strings stay inline; wider ones go through the
-    // dispatched kernel.
-    if (x_.size() == 1) {
-        const uint64_t x1 = x_[0], z1 = z_[0];
-        const uint64_t x2 = rhs.x_[0], z2 = rhs.z_[0];
+    uint64_t plus = 0, minus = 0;
+    for (size_t w = 0; w < x_.size(); ++w) {
+        const uint64_t x1 = x_[w], z1 = z_[w];
+        const uint64_t x2 = rhs.x_[w], z2 = rhs.z_[w];
         // +i cases: X.Y (x1&~z1 & x2&z2), Y.Z (x1&z1 & ~x2&z2),
         //           Z.X (~x1&z1 & x2&~z2).
         const uint64_t p = (x1 & ~z1 & x2 & z2) |
@@ -191,20 +184,13 @@ PauliString::mulRight(const PauliString &rhs)
         const uint64_t m = (x2 & ~z2 & x1 & z1) |
                            (x2 & z2 & ~x1 & z1) |
                            (~x2 & z2 & x1 & ~z1);
-        const uint64_t plus = static_cast<uint64_t>(std::popcount(p));
-        const uint64_t minus = static_cast<uint64_t>(std::popcount(m));
-        x_[0] ^= x2;
-        z_[0] ^= z2;
-        const uint64_t phase_acc =
-            phase_ + rhs.phase_ + plus + 3 * (minus & 3);
-        phase_ = static_cast<uint8_t>(phase_acc & 3);
-        return;
+        plus += static_cast<uint64_t>(std::popcount(p));
+        minus += static_cast<uint64_t>(std::popcount(m));
+        x_[w] ^= x2;
+        z_[w] ^= z2;
     }
-    const uint32_t mul_phase = simd::active().mulWords(
-        x_.data(), z_.data(), rhs.x_.data(), rhs.z_.data(),
-        static_cast<uint32_t>(x_.size()));
-    phase_ =
-        static_cast<uint8_t>((phase_ + rhs.phase_ + mul_phase) & 3);
+    const uint64_t phase_acc = phase_ + rhs.phase_ + plus + 3 * (minus & 3);
+    phase_ = static_cast<uint8_t>(phase_acc & 3);
 }
 
 void

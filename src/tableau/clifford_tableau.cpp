@@ -7,8 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/simd_dispatch.hpp"
-
 namespace quclear {
 
 namespace {
@@ -44,6 +42,124 @@ sparseConjugateRowLimit(uint32_t num_qubits)
     return num_qubits / 16 > 6 ? num_qubits / 16 : 6;
 }
 
+/**
+ * Exclusive prefix-parity scan: bit l of the result is the parity of
+ * bits 0..l-1 of @p v.
+ */
+inline uint64_t
+prefixParityExclusive(uint64_t v)
+{
+    v ^= v << 1;
+    v ^= v << 2;
+    v ^= v << 4;
+    v ^= v << 8;
+    v ^= v << 16;
+    v ^= v << 32;
+    return v << 1;
+}
+
+/**
+ * One block-swap round of the 64x64 bit transpose with a compile-time
+ * stride so the 32-iteration loop fully unrolls.
+ */
+template <uint32_t J, uint64_t M>
+inline void
+transposeStep(uint64_t a[64])
+{
+    for (uint32_t base = 0; base < 64; base += 2 * J) {
+        for (uint32_t off = 0; off < J; ++off) {
+            const uint32_t k = base + off;
+            const uint64_t t = ((a[k] >> J) ^ a[k | J]) & M;
+            a[k] ^= t << J;
+            a[k | J] ^= t;
+        }
+    }
+}
+
+/**
+ * In-place 64x64 bit-matrix transpose (recursive block swap, Hacker's
+ * Delight 7-3 adapted to LSB-first bit order): afterwards bit j of
+ * a[i] is the old bit i of a[j].
+ */
+inline void
+transpose64(uint64_t a[64])
+{
+    transposeStep<32, 0x00000000FFFFFFFFULL>(a);
+    transposeStep<16, 0x0000FFFF0000FFFFULL>(a);
+    transposeStep<8, 0x00FF00FF00FF00FFULL>(a);
+    transposeStep<4, 0x0F0F0F0F0F0F0F0FULL>(a);
+    transposeStep<2, 0x3333333333333333ULL>(a);
+    transposeStep<1, 0x5555555555555555ULL>(a);
+}
+
+/** Phase bookkeeping of one row-product walk. */
+struct RowWalk
+{
+    uint32_t signRows;   //!< count of selected rows with sign -1
+    uint32_t yRows;      //!< sum of selected rows' y counts (mod 4 used)
+    uint32_t pairParity; //!< ordered (z_j, x_l), j < l pair parity
+    uint32_t yResult;    //!< |outX & outZ| (mod 4 used)
+};
+
+/**
+ * Walk the rows selected by @p mask (via @p idx: unflagged words are
+ * skipped entirely) in ascending order through a row-major snapshot
+ * whose row r is [x words | z words] at rows + r * 2 * rw, XOR-
+ * accumulating x/z and the carry-save pair fold into @p scratch (3 * rw
+ * words), and write the product's x/z words to @p out_x / @p out_z.
+ * With RW > 0 the words-per-row count is a compile-time constant, so
+ * the inner word loop fully unrolls (RW == 0 is the generic form above
+ * 256 qubits).
+ */
+template <uint32_t RW>
+RowWalk
+walkRows(const uint64_t *rows, uint32_t rw_runtime, const uint8_t *y_count,
+         const uint64_t *signs, const uint64_t *mask,
+         const SupportIndex &idx, uint64_t *scratch, uint64_t *out_x,
+         uint64_t *out_z)
+{
+    const uint32_t rw = RW != 0 ? RW : rw_runtime;
+    uint64_t *acc_x = scratch;
+    uint64_t *acc_z = acc_x + rw;
+    uint64_t *fold = acc_z + rw;
+    for (uint32_t u = 0; u < rw; ++u) {
+        acc_x[u] = 0;
+        acc_z[u] = 0;
+        fold[u] = 0;
+    }
+
+    uint32_t sign_rows = 0; // rows contributing -1
+    uint32_t y_rows = 0;    // sum of per-row |x_j & z_j| (mod 4 at end)
+    idx.forEachWord([&](uint32_t w) {
+        const uint64_t mw = mask[w];
+        sign_rows += popcnt(signs[w] & mw);
+        uint64_t bits = mw;
+        while (bits) {
+            const uint32_t r =
+                64 * w + static_cast<uint32_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            const uint64_t *xr = rows + static_cast<size_t>(r) * 2 * rw;
+            const uint64_t *zr = xr + rw;
+            for (uint32_t u = 0; u < rw; ++u) {
+                fold[u] ^= acc_z[u] & xr[u]; // ordered pairs, j < l
+                acc_x[u] ^= xr[u];
+                acc_z[u] ^= zr[u];
+            }
+            y_rows += y_count[r];
+        }
+    });
+
+    uint64_t pair_fold = 0;
+    uint32_t y_result = 0; // |outX & outZ|
+    for (uint32_t u = 0; u < rw; ++u) {
+        pair_fold ^= fold[u];
+        y_result += popcnt(acc_x[u] & acc_z[u]);
+        out_x[u] = acc_x[u];
+        out_z[u] = acc_z[u];
+    }
+    return { sign_rows, y_rows, popcnt(pair_fold) & 1, y_result };
+}
+
 } // namespace
 
 CliffordTableau::CliffordTableau(uint32_t num_qubits)
@@ -69,23 +185,19 @@ CliffordTableau::fromCircuit(const QuantumCircuit &qc)
     return t;
 }
 
-// The gate-append column loops live in the dispatched kernel table
-// (src/util/simd_kernels_*.cpp; see the scalar backend for the sign
-// algebra comments). A one-word tableau (n <= 32) keeps an inline
-// scalar body: at that size the indirect call would cost more than
-// the update itself.
+// Gate appends: one pass over the words of the touched columns and
+// the sign words, with the Aaronson-Gottesman update rules.
 
 void
 CliffordTableau::appendH(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
-    if (words_ == 1) {
-        signs_[0] ^= xc[0] & zc[0]; // H: X <-> Z, Y -> -Y
-        std::swap(xc[0], zc[0]);
-        return;
+    uint64_t *s = signs_.data();
+    for (uint32_t w = 0; w < words_; ++w) {
+        s[w] ^= xc[w] & zc[w]; // H: X <-> Z, Y -> -Y
+        std::swap(xc[w], zc[w]);
     }
-    simd::active().appendH(xc, zc, signs_.data(), words_);
 }
 
 void
@@ -93,12 +205,11 @@ CliffordTableau::appendS(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
-    if (words_ == 1) {
-        signs_[0] ^= xc[0] & zc[0]; // S: X -> Y, Y -> -X
-        zc[0] ^= xc[0];
-        return;
+    uint64_t *s = signs_.data();
+    for (uint32_t w = 0; w < words_; ++w) {
+        s[w] ^= xc[w] & zc[w]; // S: X -> Y, Y -> -X
+        zc[w] ^= xc[w];
     }
-    simd::active().appendS(xc, zc, signs_.data(), words_);
 }
 
 void
@@ -106,12 +217,11 @@ CliffordTableau::appendSdg(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
-    if (words_ == 1) {
-        signs_[0] ^= xc[0] & ~zc[0]; // Sdg: X -> -Y, Y -> X
-        zc[0] ^= xc[0];
-        return;
+    uint64_t *s = signs_.data();
+    for (uint32_t w = 0; w < words_; ++w) {
+        s[w] ^= xc[w] & ~zc[w]; // Sdg: X -> -Y, Y -> X
+        zc[w] ^= xc[w];
     }
-    simd::active().appendSdg(xc, zc, signs_.data(), words_);
 }
 
 void
@@ -119,11 +229,8 @@ CliffordTableau::appendX(uint32_t q)
 {
     // X anticommutes with Z and Y.
     const uint64_t *zc = &z_[q * words_];
-    if (words_ == 1) {
-        signs_[0] ^= zc[0];
-        return;
-    }
-    simd::active().xorInto(signs_.data(), zc, words_);
+    for (uint32_t w = 0; w < words_; ++w)
+        signs_[w] ^= zc[w];
 }
 
 void
@@ -132,11 +239,8 @@ CliffordTableau::appendY(uint32_t q)
     // Y anticommutes with X and Z.
     const uint64_t *xc = &x_[q * words_];
     const uint64_t *zc = &z_[q * words_];
-    if (words_ == 1) {
-        signs_[0] ^= xc[0] ^ zc[0];
-        return;
-    }
-    simd::active().xorInto2(signs_.data(), xc, zc, words_);
+    for (uint32_t w = 0; w < words_; ++w)
+        signs_[w] ^= xc[w] ^ zc[w];
 }
 
 void
@@ -144,11 +248,8 @@ CliffordTableau::appendZ(uint32_t q)
 {
     // Z anticommutes with X and Y.
     const uint64_t *xc = &x_[q * words_];
-    if (words_ == 1) {
-        signs_[0] ^= xc[0];
-        return;
-    }
-    simd::active().xorInto(signs_.data(), xc, words_);
+    for (uint32_t w = 0; w < words_; ++w)
+        signs_[w] ^= xc[w];
 }
 
 void
@@ -156,12 +257,11 @@ CliffordTableau::appendSqrtX(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
-    if (words_ == 1) {
-        signs_[0] ^= ~xc[0] & zc[0]; // sqrt(X): Z -> -Y, Y -> Z
-        xc[0] ^= zc[0];
-        return;
+    uint64_t *s = signs_.data();
+    for (uint32_t w = 0; w < words_; ++w) {
+        s[w] ^= ~xc[w] & zc[w]; // sqrt(X): Z -> -Y, Y -> Z
+        xc[w] ^= zc[w];
     }
-    simd::active().appendSqrtX(xc, zc, signs_.data(), words_);
 }
 
 void
@@ -169,12 +269,11 @@ CliffordTableau::appendSqrtXdg(uint32_t q)
 {
     uint64_t *xc = &x_[q * words_];
     uint64_t *zc = &z_[q * words_];
-    if (words_ == 1) {
-        signs_[0] ^= xc[0] & zc[0]; // sqrt(X)~: Z -> Y, Y -> -Z
-        xc[0] ^= zc[0];
-        return;
+    uint64_t *s = signs_.data();
+    for (uint32_t w = 0; w < words_; ++w) {
+        s[w] ^= xc[w] & zc[w]; // sqrt(X)~: Z -> Y, Y -> -Z
+        xc[w] ^= zc[w];
     }
-    simd::active().appendSqrtXdg(xc, zc, signs_.data(), words_);
 }
 
 void
@@ -185,14 +284,13 @@ CliffordTableau::appendCX(uint32_t control, uint32_t target)
     uint64_t *zc = &z_[control * words_];
     uint64_t *xt = &x_[target * words_];
     uint64_t *zt = &z_[target * words_];
-    if (words_ == 1) {
-        // Aaronson-Gottesman: sign flips iff xc & zt & ~(xt ^ zc).
-        signs_[0] ^= xc[0] & zt[0] & ~(xt[0] ^ zc[0]);
-        xt[0] ^= xc[0];
-        zc[0] ^= zt[0];
-        return;
+    uint64_t *s = signs_.data();
+    for (uint32_t w = 0; w < words_; ++w) {
+        // Sign flips iff xc & zt & ~(xt ^ zc).
+        s[w] ^= xc[w] & zt[w] & ~(xt[w] ^ zc[w]);
+        xt[w] ^= xc[w];
+        zc[w] ^= zt[w];
     }
-    simd::active().appendCX(xc, zc, xt, zt, signs_.data(), words_);
 }
 
 void
@@ -203,14 +301,13 @@ CliffordTableau::appendCZ(uint32_t a, uint32_t b)
     uint64_t *za = &z_[a * words_];
     uint64_t *xb = &x_[b * words_];
     uint64_t *zb = &z_[b * words_];
-    if (words_ == 1) {
-        // CZ: sign flips iff xa & xb & (za ^ zb); za ^= xb, zb ^= xa.
-        signs_[0] ^= xa[0] & xb[0] & (za[0] ^ zb[0]);
-        za[0] ^= xb[0];
-        zb[0] ^= xa[0];
-        return;
+    uint64_t *s = signs_.data();
+    for (uint32_t w = 0; w < words_; ++w) {
+        // Sign flips iff xa & xb & (za ^ zb); za ^= xb, zb ^= xa.
+        s[w] ^= xa[w] & xb[w] & (za[w] ^ zb[w]);
+        za[w] ^= xb[w];
+        zb[w] ^= xa[w];
     }
-    simd::active().appendCZ(xa, za, xb, zb, signs_.data(), words_);
 }
 
 void
@@ -221,14 +318,10 @@ CliffordTableau::appendSwap(uint32_t a, uint32_t b)
     uint64_t *za = &z_[a * words_];
     uint64_t *xb = &x_[b * words_];
     uint64_t *zb = &z_[b * words_];
-    if (words_ == 1) {
-        std::swap(xa[0], xb[0]);
-        std::swap(za[0], zb[0]);
-        return;
+    for (uint32_t w = 0; w < words_; ++w) {
+        std::swap(xa[w], xb[w]);
+        std::swap(za[w], zb[w]);
     }
-    const simd::Kernels &k = simd::active();
-    k.swapWords(xa, xb, words_);
-    k.swapWords(za, zb, words_);
 }
 
 void
@@ -388,18 +481,19 @@ CliffordTableau::conjugate(const PauliString &p) const
     }
 
     // Dense lone conjugate: column-parallel pass with the closed-form
-    // phase, one dispatched denseColumn kernel call per column. A
-    // transpose to row-major (the batch kernel) cannot win here — its
-    // fixed cost is the same O(n . W) as this whole pass — so the
-    // transpose only pays off when amortized over a batch;
-    // conjugateBatch makes that call (see kMinBatchForTranspose).
-    // The column kernel scans every word, so materialize the zeros
-    // buildRowMask skipped (O(words_), negligible against the pass).
+    // phase. Per column it folds the selected x/z bits, counts Ys, and
+    // accumulates the ordered-pair parity (prefix-XOR within words,
+    // running z parity across words). A transpose to row-major (the
+    // batch walk) cannot win here — its fixed cost is the same
+    // O(n . W) as this whole pass — so the transpose only pays off when
+    // amortized over a batch; conjugateBatch makes that call (see
+    // kMinBatchForTranspose). The column pass scans every word, so
+    // materialize the zeros buildRowMask skipped (O(words_),
+    // negligible against the pass).
     for (uint32_t w = 0; w < words_; ++w) {
         if (!idx.hasWord(w))
             mask[w] = 0;
     }
-    const simd::Kernels &k = simd::active();
     PauliString result(numQubits_);
     uint32_t sign_rows = 0;  // rows contributing -1
     uint64_t y_rows = 0;     // sum of per-row |x_j & z_j|
@@ -409,16 +503,28 @@ CliffordTableau::conjugate(const PauliString &p) const
         [&](uint32_t w) { sign_rows += popcnt(signs_[w] & mask[w]); });
 
     for (uint32_t c = 0; c < numQubits_; ++c) {
-        const simd::DenseColumnResult col = k.denseColumn(
-            &x_[c * words_], &z_[c * words_], mask, words_);
-        const uint8_t xbit = static_cast<uint8_t>(col.xParity);
-        const uint8_t zbit = static_cast<uint8_t>(col.zParity);
+        const uint64_t *xc = &x_[c * words_];
+        const uint64_t *zc = &z_[c * words_];
+        uint64_t x_fold = 0, z_fold = 0;
+        uint64_t z_run = 0; // parity (0/1) of z bits in lower words
+        for (uint32_t w = 0; w < words_; ++w) {
+            const uint64_t ux = xc[w] & mask[w];
+            const uint64_t uz = zc[w] & mask[w];
+            x_fold ^= ux;
+            z_fold ^= uz;
+            y_rows += popcnt(ux & uz);
+            // Ordered (z_j, x_l), j < l pairs: in-word via the prefix
+            // scan, cross-word via the running z parity broadcast.
+            pair_fold ^= ux & prefixParityExclusive(uz);
+            pair_fold ^= (0 - z_run) & ux;
+            z_run ^= popcnt(uz) & 1;
+        }
+        const auto xbit = static_cast<uint8_t>(popcnt(x_fold) & 1);
+        const auto zbit = static_cast<uint8_t>(popcnt(z_fold) & 1);
         if (xbit | zbit)
             result.setOp(c, static_cast<PauliOp>(
                                 static_cast<uint8_t>(xbit | (zbit << 1))));
-        y_rows += col.yCount;
         y_result += xbit & zbit;
-        pair_fold ^= col.pairFold;
     }
 
     const uint64_t pair_parity = popcnt(pair_fold) & 1;
@@ -438,59 +544,54 @@ CliffordTableau::rowMajorScratch()
 void
 CliffordTableau::buildRowMajor(RowMajor &out) const
 {
-    const simd::Kernels &k = simd::active();
     const uint32_t rw = wordsForColumns(numQubits_);
-    const uint32_t rw_pad = k.padRowWords(rw);
-    const uint32_t stride = 2 * rw_pad;
-    const size_t padded_rows = 64 * static_cast<size_t>(words_);
-    const size_t need = padded_rows * stride;
-    // The tile scatter below overwrites every meaningful word (all 64
-    // rows of every row block, all rw column blocks), so a zero-fill
-    // is only needed when the geometry changes and the padding words
-    // (which the wide row loads read but never write) could hold
-    // another layout's data.
-    if (out.xz.size() != need || out.rowWords != rw ||
-        out.rowWordsPadded != rw_pad) {
-        out.xz.assign(need, 0);
-        out.rowWords = rw;
-        out.rowWordsPadded = rw_pad;
-    }
-    out.yCount.resize(2 * static_cast<size_t>(numQubits_));
+    const uint32_t stride = 2 * rw;
+    // The tile scatter below overwrites every word (all 64 rows of
+    // every row block, all rw column words), so no zero-fill is
+    // needed.
+    out.rowWords = rw;
+    out.xz.resize(64 * static_cast<size_t>(words_) * stride);
+    out.yCount.assign(2 * static_cast<size_t>(numQubits_), 0);
 
-    std::fill(out.yCount.begin(), out.yCount.end(),
-              static_cast<uint8_t>(0));
-
-    uint64_t tile_x[64];
-    uint64_t tile_z[64];
-    for (uint32_t cb = 0; cb < rw; ++cb) {
-        const uint32_t c0 = 64 * cb;
-        const uint32_t cols =
-            numQubits_ - c0 < 64 ? numQubits_ - c0 : 64;
+    // Columns go 32 at a time: one 64-word tile holds the x words of 32
+    // columns in its low half and their z words in its high half, so
+    // one transpose yields, per row, those columns' x bits in the low
+    // 32 bits and their z bits in the high 32. A register of up to 32
+    // qubits thus needs one transpose per row block, not two.
+    uint64_t tile[64];
+    for (uint32_t c0 = 0; c0 < numQubits_; c0 += 32) {
+        const uint32_t cb = c0 / 64;
+        const uint32_t shift = c0 % 64; // 0: first half of the word
+        const uint32_t cols = numQubits_ - c0 < 32 ? numQubits_ - c0 : 32;
         for (uint32_t w = 0; w < words_; ++w) {
-            // Gather the 64 column words covering rows [64w, 64w+63],
+            // Gather the column words covering rows [64w, 64w+63],
             // transpose, scatter into the row words; the per-row Y
-            // counts accumulate while both tiles are in registers.
+            // counts accumulate while the tile is in registers.
             for (uint32_t j = 0; j < cols; ++j) {
-                tile_x[j] = x_[(c0 + j) * static_cast<size_t>(words_) + w];
-                tile_z[j] = z_[(c0 + j) * static_cast<size_t>(words_) + w];
+                tile[j] = x_[(c0 + j) * static_cast<size_t>(words_) + w];
+                tile[32 + j] = z_[(c0 + j) * static_cast<size_t>(words_) + w];
             }
-            for (uint32_t j = cols; j < 64; ++j) {
-                tile_x[j] = 0;
-                tile_z[j] = 0;
+            for (uint32_t j = cols; j < 32; ++j) {
+                tile[j] = 0;
+                tile[32 + j] = 0;
             }
-            k.transpose64x2(tile_x, tile_z);
+            transpose64(tile);
             const uint32_t r0 = 64 * w;
             const uint32_t rows =
                 2 * numQubits_ - r0 < 64 ? 2 * numQubits_ - r0 : 64;
             for (uint32_t i = 0; i < 64; ++i) {
                 uint64_t *row =
                     &out.xz[(static_cast<size_t>(r0) + i) * stride];
-                row[cb] = tile_x[i];
-                row[rw_pad + cb] = tile_z[i];
+                const uint64_t xs = (tile[i] & 0xFFFFFFFFULL) << shift;
+                const uint64_t zs = (tile[i] >> 32) << shift;
+                // The first half of a word assigns, the second ORs in.
+                row[cb] = shift != 0 ? row[cb] | xs : xs;
+                row[rw + cb] = shift != 0 ? row[rw + cb] | zs : zs;
             }
             for (uint32_t i = 0; i < rows; ++i)
                 out.yCount[r0 + i] = static_cast<uint8_t>(
-                    (out.yCount[r0 + i] + popcnt(tile_x[i] & tile_z[i])) &
+                    (out.yCount[r0 + i] +
+                     popcnt(tile[i] & (tile[i] >> 32))) &
                     3);
         }
     }
@@ -509,27 +610,20 @@ CliffordTableau::conjugateViaRows(const RowMajor &rm, PauliString &p,
     // (z_j, x_l) pair parity is accumulated per multiplied row l as
     // parity(Zacc & x_l) with Zacc the XOR of all earlier rows' z bits
     // (parities fold across rows and words because popcount(a ^ b) ==
-    // popcount(a) + popcount(b) mod 2). The row walk itself is the
-    // dispatched rowProduct kernel, which skips unoccupied mask words
-    // via the index.
+    // popcount(a) + popcount(b) mod 2). The row walk skips unoccupied
+    // mask words via the index.
     uint64_t phase_acc = p.phase();
     for (uint32_t w = 0; w < p.numWords(); ++w)
         phase_acc += popcnt(p.xWords()[w] & p.zWords()[w]); // one i per Y
 
     const uint32_t rw = rm.rowWords;
-    simd::RowProductArgs args;
-    args.rowsXZ = rm.xz.data();
-    args.stride = 2 * rm.rowWordsPadded;
-    args.rwPad = rm.rowWordsPadded;
-    args.rw = rw;
-    args.yCount = rm.yCount.data();
-    args.signs = signs_.data();
-    args.mask = mask;
-    args.maskIndex = &idx;
-    args.scratch = kscratch;
-    args.outX = out_x;
-    args.outZ = out_z;
-    const simd::RowProductResult r = simd::active().rowProduct(args);
+    const auto walk = rw == 1   ? walkRows<1>
+                      : rw == 2 ? walkRows<2>
+                      : rw == 3 ? walkRows<3>
+                      : rw == 4 ? walkRows<4>
+                                : walkRows<0>;
+    const RowWalk r = walk(rm.xz.data(), rw, rm.yCount.data(),
+                           signs_.data(), mask, idx, kscratch, out_x, out_z);
 
     phase_acc += 2 * (r.signRows & 1) + r.yRows +
                  2 * (r.pairParity & 1) +
@@ -543,8 +637,8 @@ void
 CliffordTableau::conjugateBatch(std::span<PauliString> terms) const
 {
     // Below this size the transpose cannot amortize (its fixed cost is
-    // roughly two scalar dense conjugations), so tiny batches take the
-    // scalar paths per term instead.
+    // roughly two dense conjugations), so tiny batches take the
+    // per-term paths instead.
     constexpr size_t kMinBatchForTranspose = 3;
     if (terms.size() < kMinBatchForTranspose) {
         for (PauliString &term : terms)
@@ -554,18 +648,16 @@ CliffordTableau::conjugateBatch(std::span<PauliString> terms) const
     RowMajor &rm = rowMajorScratch();
     buildRowMajor(rm);
 
-    // Scratch: mask + kernel accumulators + result halves. The mask
+    // Scratch: mask + walk accumulators + result halves. The mask
     // array is deliberately left dirty between terms — the support
     // index tracks which words are live.
     const uint32_t rw = rm.rowWords;
-    const uint32_t rw_pad = rm.rowWordsPadded;
     std::vector<uint64_t> scratch(static_cast<size_t>(words_) +
-                                  3 * static_cast<size_t>(rw_pad) +
-                                  2 * static_cast<size_t>(rw));
+                                  5 * static_cast<size_t>(rw));
     SupportIndex idx;
     uint64_t *mask = scratch.data();
     uint64_t *kscratch = mask + words_;
-    uint64_t *out_x = kscratch + 3 * static_cast<size_t>(rw_pad);
+    uint64_t *out_x = kscratch + 3 * static_cast<size_t>(rw);
     uint64_t *out_z = out_x + rw;
     for (PauliString &term : terms)
         conjugateViaRows(rm, term, mask, idx, kscratch, out_x, out_z);
@@ -605,18 +697,6 @@ void
 CliffordTableau::composeWith(const CliffordTableau &other)
 {
     assert(other.numQubits_ == numQubits_);
-    // Fast paths for the chain-merge pattern: composing with the
-    // identity is a no-op in either direction, and composing the
-    // identity with `other` is a plain copy. The tableau of a unitary
-    // is canonical (rows are the generator images, signs exact), so
-    // any route to the same unitary yields bit-identical storage —
-    // the fast path cannot diverge from the generic one.
-    if (other.isIdentity())
-        return;
-    if (isIdentity()) {
-        *this = other;
-        return;
-    }
     // (other . U) P (other . U)~ = other(U(P)): conjugate all 2n rows
     // through `other` as one batch so its transpose is built once.
     std::vector<PauliString> rows;

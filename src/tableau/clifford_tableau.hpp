@@ -134,12 +134,7 @@ class CliffordTableau
     /**
      * Compose with another tableau: U <- other.U, i.e. the resulting
      * map first applies this tableau's conjugation, then @p other's.
-     * Identity operands short-circuit (no-op / plain copy), so merging
-     * a run of mostly-identity chain forks costs only the word scan.
-     * Forking a snapshot is the ordinary copy constructor: the storage
-     * is three flat vectors, so a fork is one memcpy-shaped allocation
-     * per bit plane — the cross-block extractor forks a fresh identity
-     * tableau per chain and merges the results through this method.
+     * All 2n rows go through @p other as one conjugateBatch.
      */
     void composeWith(const CliffordTableau &other);
 
@@ -168,17 +163,15 @@ class CliffordTableau
     static uint32_t wordsForColumns(uint32_t n) { return (n + 63) / 64; }
 
     /**
-     * Row-major snapshot of the bit matrix for the batch conjugation
-     * kernel: 64*words_ rows (rows past 2n are zero), each stored as
-     * [x half | z half] with both halves padded to rowWordsPadded
-     * words (padding zero) so the SIMD backends can use full-width
-     * row loads, plus the per-row Y count (|x & z| mod 4) that enters
-     * the conjugation phase. The row stride is 2 * rowWordsPadded.
+     * Row-major snapshot of the bit matrix for batch conjugation:
+     * 64*words_ rows (rows past 2n are zero), each stored as
+     * [x half | z half] of rowWords words each, plus the per-row Y
+     * count (|x & z| mod 4) that enters the conjugation phase. The row
+     * stride is 2 * rowWords.
      */
     struct RowMajor
     {
-        uint32_t rowWords = 0;       // meaningful words per row half
-        uint32_t rowWordsPadded = 0; // padded words per row half
+        uint32_t rowWords = 0; // words per row half
         std::vector<uint64_t> xz;
         std::vector<uint8_t> yCount;
     };
@@ -195,10 +188,10 @@ class CliffordTableau
 
     /**
      * Conjugate @p p in place as the ordered product of its selected
-     * rows from the row-major snapshot (dispatched rowProduct kernel).
-     * Scratch pointers must hold words_ (mask), 3 * rowWordsPadded
-     * (kernel scratch) and rowWords (out_x / out_z) entries; @p idx is
-     * the reusable occupancy index over the mask words.
+     * rows from the row-major snapshot. Scratch pointers must hold
+     * words_ (mask), 3 * rowWords (walk accumulators) and rowWords
+     * (out_x / out_z) entries; @p idx is the reusable occupancy index
+     * over the mask words.
      */
     void conjugateViaRows(const RowMajor &rm, PauliString &p,
                           uint64_t *mask, SupportIndex &idx,

@@ -8,8 +8,8 @@
  * must stay bit-identical — phases included — to both the scalar
  * conjugate() and the row-major ReferenceTableau at qubit counts
  * straddling the 64-bit word boundaries. On top of the kernel, the
- * threaded paths — the cross-block chain pipeline (fork-per-chain
- * tableaus merged through composeWith) and absorption chunked over
+ * threaded paths — the cross-block chain pipeline (each chain on its
+ * own compact-frame tableau, stitched back) and absorption chunked over
  * observables — must produce output bit-identical to the sequential
  * threads = 1, blockParallelism = 1 path for every knob combination.
  */
@@ -222,7 +222,7 @@ expectSameExtraction(const ExtractionResult &got,
  * instance, every (blockParallelism, threads) combination must emit
  * output bit-identical to the sequential blockParallelism = 1,
  * threads = 1 baseline — same optimized circuit, tail, conjugator, and
- * rotation order. Run under TSan in CI, this also proves the forked
+ * rotation order. Run under TSan in CI, this also proves the per-chain
  * tableau pipeline is race-free.
  */
 TEST(BlockParallelExtractionTest, BitIdenticalAcrossKnobGrid)

@@ -6,8 +6,10 @@
  * tables: long commuting blocks of small supports (memo hits), mixed
  * X/Y/Z blocks that need a basis layer, wide supports whose patterns
  * rarely repeat (memo misses) and supports above 32 qubits that cannot
- * be keyed at all, plus identity and repeated terms. Registers of 5, 30, 64, 65 and 130 qubits cover one, two and
- * three packed words.
+ * be keyed at all, plus identity and repeated terms. Registers of 5, 30,
+ * 64, 65 and 130 qubits cover one, two and three packed words; a
+ * separate case puts two chains on interleaved (even / odd) qubit sets
+ * with idle qubits between them at 96 and 130 qubits.
  */
 #include <gtest/gtest.h>
 
@@ -98,6 +100,71 @@ fuzzProgram(uint32_t n, uint32_t max_support, size_t block_terms, Rng &rng)
     return terms;
 }
 
+/**
+ * A program whose chains sit on interleaved qubit sets: fuzzed programs
+ * on the even qubits (chain side A) and on the odd qubits (side B),
+ * with every eighth qubit and the last two left idle, spliced together
+ * in random runs so commuting blocks bridge the two sides. Each chain
+ * compiles in its own frame, so this drives the relabel both ways.
+ */
+std::vector<PauliTerm>
+interleavedProgram(uint32_t n, Rng &rng)
+{
+    std::vector<uint32_t> lanes[2];
+    for (uint32_t q = 0; q + 2 < n; ++q)
+        if (q % 8 != 7)
+            lanes[q % 2].push_back(q);
+    std::vector<PauliTerm> sides[2];
+    for (int side = 0; side < 2; ++side) {
+        const auto k = static_cast<uint32_t>(lanes[side].size());
+        for (const PauliTerm &t : fuzzProgram(k, 40, 30, rng)) {
+            PauliString p(n);
+            t.pauli.forEachSupport([&](uint32_t q, PauliOp op) {
+                p.setOp(lanes[side][q], op);
+            });
+            sides[side].emplace_back(std::move(p), t.angle);
+        }
+    }
+    std::vector<PauliTerm> terms;
+    size_t next[2] = { 0, 0 };
+    while (next[0] < sides[0].size() || next[1] < sides[1].size()) {
+        const auto side = static_cast<int>(rng.uniformInt(2));
+        for (uint64_t run = 1 + rng.uniformInt(6);
+             run > 0 && next[side] < sides[side].size(); --run)
+            terms.push_back(sides[side][next[side]++]);
+    }
+    return terms;
+}
+
+/** Connected components of the qubit-support graph (the chains). */
+size_t
+chainCount(const std::vector<PauliTerm> &terms, uint32_t n)
+{
+    std::vector<uint32_t> parent(n);
+    for (uint32_t q = 0; q < n; ++q)
+        parent[q] = q;
+    const auto find = [&](uint32_t q) {
+        while (parent[q] != q)
+            q = parent[q] = parent[parent[q]];
+        return q;
+    };
+    std::vector<bool> touched(n, false);
+    for (const PauliTerm &t : terms) {
+        uint32_t first = n;
+        t.pauli.forEachSupport([&](uint32_t q, PauliOp) {
+            touched[q] = true;
+            if (first == n)
+                first = q;
+            else
+                parent[find(q)] = find(first);
+        });
+    }
+    size_t chains = 0;
+    for (uint32_t q = 0; q < n; ++q)
+        chains += touched[q] && find(q) == q ? 1 : 0;
+    return chains;
+}
+
 /** Every combination the block loop branches on. */
 std::vector<ExtractionConfig>
 configGrid()
@@ -178,6 +245,48 @@ INSTANTIATE_TEST_SUITE_P(Registers, ExtractionDifferential,
                          [](const ::testing::TestParamInfo<uint32_t> &param) {
                              return "n" + std::to_string(param.param);
                          });
+
+TEST(ExtractionDifferentialChains, InterleavedChainsMatchReference)
+{
+    for (uint32_t n : { 96u, 130u }) {
+        Rng rng(0xc4a1ULL + n);
+        const std::vector<PauliTerm> terms = interleavedProgram(n, rng);
+        ExtractionConfig config;
+        config.threads = 1;
+        const ExtractionResult want = referenceExtract(terms, config);
+        for (uint32_t threads : { 1u, 4u }) {
+            config.threads = threads;
+            SCOPED_TRACE("n=" + std::to_string(n) + " " + describe(config));
+            expectSameExtraction(CliffordExtractor(config).run(terms), want);
+        }
+    }
+}
+
+TEST(ExtractionDifferentialShapes, InterleavedProgramHasChainsAndIdleQubits)
+{
+    // Guard the interleaved fuzz: at least two chains, blocks that
+    // bridge them (so they are sliced into sub-blocks), and idle qubits.
+    for (uint32_t n : { 96u, 130u }) {
+        Rng rng(0xc4a1ULL + n);
+        const std::vector<PauliTerm> terms = interleavedProgram(n, rng);
+        EXPECT_GE(chainCount(terms, n), 2u) << "n=" << n;
+        size_t bridging = 0;
+        for (const std::vector<size_t> &block : commutingBlocks(terms)) {
+            bool side[2] = { false, false };
+            for (size_t idx : block)
+                terms[idx].pauli.forEachSupport(
+                    [&](uint32_t q, PauliOp) { side[q % 2] = true; });
+            bridging += side[0] && side[1] ? 1 : 0;
+        }
+        EXPECT_GT(bridging, 0u) << "n=" << n;
+        std::vector<bool> touched(n, false);
+        for (const PauliTerm &t : terms)
+            t.pauli.forEachSupport(
+                [&](uint32_t q, PauliOp) { touched[q] = true; });
+        EXPECT_FALSE(touched[7]) << "n=" << n;
+        EXPECT_FALSE(touched[n - 1]) << "n=" << n;
+    }
+}
 
 TEST(ExtractionDifferentialShapes, FuzzHitsEveryTablePath)
 {

@@ -166,8 +166,8 @@ TEST(ScaleExtractionTest, ThreadedChainParallelBitIdenticalAt96Qubits)
 {
     // The paper-scale cross-block stressor: 8 independent UCC-(6,12)
     // fragments on disjoint registers (96 qubits). With
-    // blockParallelism = 0 the extractor forks one tableau per
-    // fragment and merges them through composeWith; the result must be
+    // blockParallelism = 0 the extractor compiles every fragment on its
+    // own 12-qubit tableau concurrently; the result must be
     // bit-identical to the fully sequential pipeline, and the compiled
     // program must still invert cleanly.
     const Benchmark b = makeBenchmark("UCC-(6,12)x8");

@@ -4,22 +4,26 @@
  * row-major ReferenceTableau (the preserved seed implementation).
  *
  * The two engines are driven gate by gate with identical streams at
- * qubit counts straddling the 64-bit word boundaries (1, 63, 64, 65,
- * 128, 256) and must stay bit-identical — including every row sign and
+ * qubit counts straddling the 64-bit word boundaries (1; 32 -> 33, where
+ * a column grows from one word to two; 63, 64, 65, 128, 256) and must
+ * stay bit-identical — including every row sign and
  * every conjugation phase — through appends, prepends, conjugation,
  * composition, inversion, and the toCircuit round trip.
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/reference_tableau.hpp"
 #include "tableau/clifford_tableau.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
+#include "util/support_index.hpp"
 
 namespace quclear {
 namespace {
 
-constexpr uint32_t kQubitCounts[] = { 1, 63, 64, 65, 128, 256 };
+constexpr uint32_t kQubitCounts[] = { 1, 32, 33, 63, 64, 65, 128, 256 };
 
 /** Every row image must match, signs included. */
 void
@@ -188,6 +192,43 @@ TEST(CliffordTableauCrossCheck, WordBoundaryColumnsStayClean)
         const QuantumCircuit qc = t.toCircuit();
         ASSERT_EQ(CliffordTableau::fromCircuit(qc), t);
     }
+}
+
+TEST(SupportIndexTest, MarkQueryClearAndOrder)
+{
+    SupportIndex idx;
+    EXPECT_TRUE(idx.empty());
+    const uint32_t words[] = { 0, 1, 63, 64, 65, 700, 4095 };
+    for (uint32_t w : words)
+        idx.markWord(w);
+    EXPECT_FALSE(idx.empty());
+    EXPECT_EQ(idx.count(), 7u);
+    for (uint32_t w : words)
+        EXPECT_TRUE(idx.hasWord(w)) << w;
+    EXPECT_FALSE(idx.hasWord(2));
+    EXPECT_FALSE(idx.hasWord(66));
+
+    // forEachWord must visit in strictly ascending order (the batch
+    // row-product phase accumulation depends on it).
+    std::vector<uint32_t> seen;
+    idx.forEachWord([&](uint32_t w) { seen.push_back(w); });
+    ASSERT_EQ(seen.size(), 7u);
+    for (size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], words[i]);
+    for (size_t i = 1; i < seen.size(); ++i)
+        EXPECT_LT(seen[i - 1], seen[i]);
+
+    idx.clear();
+    EXPECT_TRUE(idx.empty());
+    EXPECT_EQ(idx.count(), 0u);
+    for (uint32_t w : words)
+        EXPECT_FALSE(idx.hasWord(w));
+
+    // Reuse after clear: only the new marks are visible.
+    idx.markWord(5);
+    EXPECT_TRUE(idx.hasWord(5));
+    EXPECT_FALSE(idx.hasWord(0));
+    EXPECT_EQ(idx.count(), 1u);
 }
 
 } // namespace
